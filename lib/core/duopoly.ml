@@ -36,59 +36,68 @@ let isp_nu ~nu ~gamma ~nu_sat m =
   if m <= 1e-12 then (4. *. nu_sat) +. 1.
   else Float.min (((4. *. nu_sat) +. 1.)) (gamma *. nu /. m)
 
-let solve ?(tol = 1e-6) config cps =
+(* The two ISPs' CP games at a split [m], each warm-started from its own
+   previous call's partition: the evaluation chain of one migration
+   solve. *)
+let games config cps =
   let nu_sat = unconstrained_nu cps in
-  let warm_i = ref None and warm_j = ref None in
-  let eval_i m =
-    let nu_i = isp_nu ~nu:config.nu ~gamma:config.gamma_i ~nu_sat m in
-    let o =
-      Cp_game.solve ?init:!warm_i ~nu:nu_i ~strategy:config.strategy_i cps
-    in
-    warm_i := Some o.Cp_game.partition;
-    (nu_i, o)
+  let game ~gamma ~strategy =
+    let warm = ref None in
+    fun m ->
+      let nu = isp_nu ~nu:config.nu ~gamma ~nu_sat m in
+      let o = Cp_game.solve ?init:!warm ~nu ~strategy cps in
+      warm := Some o.Cp_game.partition;
+      (nu, o)
   in
-  let eval_j m =
-    let nu_j =
-      isp_nu ~nu:config.nu ~gamma:(1. -. config.gamma_i) ~nu_sat (1. -. m)
-    in
-    let o =
-      Cp_game.solve ?init:!warm_j ~nu:nu_j ~strategy:config.strategy_j cps
-    in
-    warm_j := Some o.Cp_game.partition;
-    (nu_j, o)
+  let eval_i = game ~gamma:config.gamma_i ~strategy:config.strategy_i in
+  let eval_j =
+    let g = game ~gamma:(1. -. config.gamma_i) ~strategy:config.strategy_j in
+    fun m -> g (1. -. m)
   in
+  (eval_i, eval_j)
+
+(* The bisection core shared by [solve] and [market_share]: the
+   equilibrium share and whether it is interior.  The answer always lies
+   in [[0, hi]] for the current bracket end [hi] — bisection answers the
+   midpoint of its final bracket — so once [hi <= floor] the share is
+   known not to beat [floor] and the core stops, answering [hi]
+   instead. *)
+let split ~tol ~floor (eval_i, eval_j) =
   let gap m =
     let _, oi = eval_i m and _, oj = eval_j m in
     oi.Cp_game.phi -. oj.Cp_game.phi
   in
-  let finish m ~interior =
-    let nu_i, outcome_i = eval_i m in
-    let nu_j, outcome_j = eval_j m in
-    let phi_i = outcome_i.Cp_game.phi and phi_j = outcome_j.Cp_game.phi in
-    { m_i = m; nu_i; nu_j; outcome_i; outcome_j;
-      phi = (m *. phi_i) +. ((1. -. m) *. phi_j);
-      psi_i = m *. outcome_i.Cp_game.psi;
-      psi_j = (1. -. m) *. outcome_j.Cp_game.psi;
-      interior }
-  in
   let m_lo = 1e-9 and m_hi = 1. -. 1e-9 in
-  let g_lo = gap m_lo in
-  if g_lo <= 0. then finish 0. ~interior:false
-  else begin
-    let g_hi = gap m_hi in
-    if g_hi >= 0. then finish 1. ~interior:false
-    else begin
-      (* gap is non-increasing in m: bisect the sign change. *)
-      let rec bisect lo hi n =
-        if hi -. lo <= tol || n > 80 then finish (0.5 *. (lo +. hi)) ~interior:true
-        else
-          let mid = 0.5 *. (lo +. hi) in
-          if gap mid > 0. then bisect mid hi (n + 1)
-          else bisect lo mid (n + 1)
-      in
-      bisect m_lo m_hi 0
-    end
-  end
+  if 1. <= floor then (1., false)
+  else if gap m_lo <= 0. then (0., false)
+  else if gap m_hi >= 0. then (1., false)
+  else
+    (* gap is non-increasing in m: bisect the sign change. *)
+    let rec bisect lo hi n =
+      if hi <= floor then (hi, false)
+      else if hi -. lo <= tol || n > 80 then (0.5 *. (lo +. hi), true)
+      else
+        let mid = 0.5 *. (lo +. hi) in
+        if gap mid > 0. then bisect mid hi (n + 1) else bisect lo mid (n + 1)
+    in
+    bisect m_lo m_hi 0
+
+let default_tol = 1e-6
+
+let solve ?(tol = default_tol) config cps =
+  let ((eval_i, eval_j) as games) = games config cps in
+  let m, interior = split ~tol ~floor:neg_infinity games in
+  let nu_i, outcome_i = eval_i m in
+  let nu_j, outcome_j = eval_j m in
+  let phi_i = outcome_i.Cp_game.phi and phi_j = outcome_j.Cp_game.phi in
+  { m_i = m; nu_i; nu_j; outcome_i; outcome_j;
+    phi = (m *. phi_i) +. ((1. -. m) *. phi_j);
+    psi_i = m *. outcome_i.Cp_game.psi;
+    psi_j = (1. -. m) *. outcome_j.Cp_game.psi;
+    interior }
+
+let market_share ~floor config cps =
+  fst (split ~tol:default_tol ~floor (games config cps))
 
 (* Each sweep point is an independent [solve] (the warm-start refs above
    live inside a single solve), so the points can be evaluated on a pool
@@ -106,29 +115,33 @@ let capacity_sweep ?pool ~config:cfg ~nus cps =
 let max_revenue_price cps =
   Array.fold_left (fun acc (cp : Cp.t) -> Float.max acc cp.Cp.v) 0. cps
 
-let best_response_generic ~objective ?(levels = 2) ?(points = 9) ~config:cfg
-    cps =
+(* The grid search over ISP I's strategy square.  [value ~floor cfg]
+   scores the configuration with [strategy_i] in place, under the floor
+   contract of [Po_num.Optimize.refine_grid_max2_floor]; only the winning
+   strategy gets a full [solve]. *)
+let best_response ~value ?(levels = 2) ?(points = 9) ~config:cfg cps =
   let hi_c = Float.max (max_revenue_price cps) 1e-9 in
-  let value kappa c =
-    let cfg = { cfg with strategy_i = Strategy.make ~kappa ~c } in
-    objective (solve cfg cps)
-  in
+  let with_strategy strategy_i = { cfg with strategy_i } in
   let best =
-    Po_num.Optimize.refine_grid_max2 ~levels ~points ~f:value ~lo1:0. ~hi1:1.
-      ~lo2:0. ~hi2:hi_c ()
+    Po_num.Optimize.refine_grid_max2_floor ~levels ~points
+      ~f:(fun ~floor kappa c ->
+        value ~floor (with_strategy (Strategy.make ~kappa ~c)))
+      ~lo1:0. ~hi1:1. ~lo2:0. ~hi2:hi_c ()
   in
   let strategy =
     Strategy.make ~kappa:best.Po_num.Optimize.x1 ~c:best.Po_num.Optimize.x2
   in
-  (strategy, solve { cfg with strategy_i = strategy } cps)
+  (strategy, solve (with_strategy strategy) cps)
 
 let best_response_market_share ?levels ?points ~config cps =
-  best_response_generic ~objective:(fun eq -> eq.m_i) ?levels ?points ~config
-    cps
+  best_response
+    ~value:(fun ~floor cfg -> market_share ~floor cfg cps)
+    ?levels ?points ~config cps
 
 let best_response_consumer_surplus ?levels ?points ~config cps =
-  best_response_generic ~objective:(fun eq -> eq.phi) ?levels ?points ~config
-    cps
+  best_response
+    ~value:(fun ~floor:_ cfg -> (solve cfg cps).phi)
+    ?levels ?points ~config cps
 
 let check_theorem5 ?(tol = 1e-3) ?strategies ~config:cfg cps =
   let strategies =

@@ -29,7 +29,11 @@ val config :
 
 type equilibrium = {
   m_i : float;  (** ISP I's market share *)
-  nu_i : float;  (** ISP I's per-capita capacity ([infinity] at [m_i = 0]) *)
+  nu_i : float;
+      (** ISP I's per-capita capacity [gamma_i nu / m_i], capped at the
+          finite stand-in [4 nu_sat + 1] for an (almost) empty ISP, where
+          [nu_sat] is the population's unconstrained per-capita demand;
+          the cap is what [m_i = 0] gets *)
   nu_j : float;
   outcome_i : Cp_game.outcome;  (** CP game at ISP I (at the equilibrium split) *)
   outcome_j : Cp_game.outcome;
@@ -43,6 +47,21 @@ type equilibrium = {
 val solve : ?tol:float -> config -> Po_model.Cp.t array -> equilibrium
 (** Find the migration equilibrium.  [tol] (default [1e-6]) is on the
     market share. *)
+
+val market_share : floor:float -> config -> Po_model.Cp.t array -> float
+(** ISP I's equilibrium market share at {!solve}'s default [tol]:
+    [(solve config cps).m_i] bit for bit when it is [> floor], without the
+    final re-solve of both CP games that {!solve} spends on the rest of
+    the record.
+
+    [floor] is a value the share has to beat to matter ([neg_infinity]
+    asks for the exact share).  The migration bisection answers the midpoint of its final
+    bracket, so the share never exceeds the current bracket's upper end.
+    Once that end is [<= floor] the share cannot beat [floor]: the
+    search stops and returns the upper end, a value [<= floor] rather
+    than the share.  With [floor >= 1] it returns [1.] without solving.
+    Whenever the share is [> floor] the result is exact.  This is the
+    floor contract of {!Po_num.Optimize.refine_grid_max2_floor}. *)
 
 val price_sweep :
   ?pool:Po_par.Pool.t -> ?kappa_i:float -> config:config -> cs:float array ->
@@ -62,7 +81,16 @@ val best_response_market_share :
   ?levels:int -> ?points:int -> config:config -> Po_model.Cp.t array ->
   Strategy.t * equilibrium
 (** ISP I's market-share-maximising strategy against [config.strategy_j]
-    (grid refinement over the strategy square). *)
+    (grid refinement over the strategy square, [levels] default 2,
+    [points] default 9), with a full {!solve} at that strategy.
+
+    Grid points are scored by {!market_share} with the search's floor —
+    the best share found so far — so a point stops its migration
+    bisection once its bracket shows it cannot beat that share, and only
+    the winner is solved in full.  Under the floor contract of
+    {!Po_num.Optimize.refine_grid_max2_floor} the answer is bit-identical
+    to scoring every point with [(solve cfg cps).m_i]: same strategy,
+    same tie-break, same equilibrium. *)
 
 val best_response_consumer_surplus :
   ?levels:int -> ?points:int -> config:config -> Po_model.Cp.t array ->

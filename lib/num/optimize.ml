@@ -23,75 +23,93 @@ let golden_section_max ?(tol = 1e-9) ?(max_iter = 200) ~f ~lo ~hi () =
   let d = lo +. (golden *. (hi -. lo)) in
   loop lo hi c (f c) d (f d) 0
 
+(* The first maximiser over [xs], scanned in order: a point replaces the
+   running best only when strictly greater, and each point is evaluated
+   once.  [f] is passed the value a point must beat to matter — the
+   larger of [above] and the running maximum — so an objective keeping
+   the floor contract of {!refine_grid_max2_floor} may cut short the
+   points that cannot win. *)
+let scan_max ~above ~f xs =
+  let best = ref (xs.(0), f ~floor:above xs.(0)) in
+  for k = 1 to Array.length xs - 1 do
+    let x = xs.(k) in
+    let fx = f ~floor:(Float.max above (snd !best)) x in
+    if fx > snd !best then best := (x, fx)
+  done;
+  !best
+
+(* The Cartesian product of one sample array per axis, first axis
+   outermost. *)
+let product grids =
+  Array.fold_right
+    (fun grid tails ->
+      Array.concat
+        (Array.to_list
+           (Array.map (fun x -> Array.map (Array.append [| x |]) tails) grid)))
+    grids [| [||] |]
+
 let grid_max ~f ~grid () =
   if Array.length grid = 0 then invalid_arg "Optimize.grid_max: empty grid";
-  let best = ref { x = grid.(0); fx = f grid.(0) } in
-  Array.iter
-    (fun x ->
-      let fx = f x in
-      if fx > !best.fx then best := { x; fx })
-    grid;
-  !best
+  let x, fx = scan_max ~above:neg_infinity ~f:(fun ~floor:_ x -> f x) grid in
+  { x; fx }
 
 let grid_max2 ~f ~grid1 ~grid2 () =
   if Array.length grid1 = 0 || Array.length grid2 = 0 then
     invalid_arg "Optimize.grid_max2: empty grid";
-  let best =
-    ref { x1 = grid1.(0); x2 = grid2.(0); f12 = f grid1.(0) grid2.(0) }
+  let x, f12 =
+    scan_max ~above:neg_infinity
+      ~f:(fun ~floor:_ x -> f x.(0) x.(1))
+      (product [| grid1; grid2 |])
   in
-  Array.iter
-    (fun x1 ->
-      Array.iter
-        (fun x2 ->
-          let f12 = f x1 x2 in
-          if f12 > !best.f12 then best := { x1; x2; f12 })
-        grid2)
-    grid1;
-  !best
+  { x1 = x.(0); x2 = x.(1); f12 }
+
+(* The one refinement loop behind every [refine_*] entry point.  [box]
+   holds one [(lo, hi)] bracket per axis.  The first level scans [points]
+   samples per axis of the whole box; each further level narrows every
+   axis to one grid step either side of the best point so far, scans
+   that, and adopts the scan's first maximiser only if it beats the best
+   of the earlier levels.  Once every axis has collapsed to a point a
+   level could only rescan the best, so the loop stops there. *)
+let refine ~levels ~points ~f box =
+  let scan ~above box =
+    scan_max ~above ~f
+      (product (Array.map (fun (lo, hi) -> Grid.linspace lo hi points) box))
+  in
+  let rec loop box level ((x, fx) as best) =
+    let narrowed =
+      Array.mapi
+        (fun k (lo, hi) ->
+          let step = (hi -. lo) /. float_of_int (points - 1) in
+          (Float.max lo (x.(k) -. step), Float.min hi (x.(k) +. step)))
+        box
+    in
+    if level <= 1 || Array.for_all (fun (lo, hi) -> hi -. lo <= 0.) narrowed
+    then best
+    else
+      let local = scan ~above:fx narrowed in
+      loop narrowed (level - 1) (if snd local > fx then local else best)
+  in
+  loop box levels (scan ~above:neg_infinity box)
 
 let refine_grid_max ?(levels = 3) ?(points = 33) ~f ~lo ~hi () =
   if points < 3 then invalid_arg "Optimize.refine_grid_max: points < 3";
-  let rec loop lo hi level best =
-    if level = 0 then best
-    else begin
-      let grid = Grid.linspace lo hi points in
-      let local = grid_max ~f ~grid () in
-      let best = if local.fx > best.fx then local else best in
-      let step = (hi -. lo) /. float_of_int (points - 1) in
-      let lo' = Float.max lo (best.x -. step) in
-      let hi' = Float.min hi (best.x +. step) in
-      if hi' -. lo' <= 0. then best else loop lo' hi' (level - 1) best
-    end
+  let x, fx =
+    refine ~levels ~points ~f:(fun ~floor:_ x -> f x.(0)) [| (lo, hi) |]
   in
-  let first = grid_max ~f ~grid:(Grid.linspace lo hi points) () in
-  loop lo hi levels first
+  { x = x.(0); fx }
 
-let refine_grid_max2 ?(levels = 3) ?(points = 17) ~f ~lo1 ~hi1 ~lo2 ~hi2 () =
+let refine_grid_max2_floor ?(levels = 3) ?(points = 17) ~f ~lo1 ~hi1 ~lo2 ~hi2
+    () =
   if points < 3 then invalid_arg "Optimize.refine_grid_max2: points < 3";
-  let rec loop lo1 hi1 lo2 hi2 level best =
-    if level = 0 then best
-    else begin
-      let grid1 = Grid.linspace lo1 hi1 points in
-      let grid2 = Grid.linspace lo2 hi2 points in
-      let local = grid_max2 ~f ~grid1 ~grid2 () in
-      let best = if local.f12 > best.f12 then local else best in
-      let s1 = (hi1 -. lo1) /. float_of_int (points - 1) in
-      let s2 = (hi2 -. lo2) /. float_of_int (points - 1) in
-      loop
-        (Float.max lo1 (best.x1 -. s1))
-        (Float.min hi1 (best.x1 +. s1))
-        (Float.max lo2 (best.x2 -. s2))
-        (Float.min hi2 (best.x2 +. s2))
-        (level - 1) best
-    end
+  let x, f12 =
+    refine ~levels ~points
+      ~f:(fun ~floor x -> f ~floor x.(0) x.(1))
+      [| (lo1, hi1); (lo2, hi2) |]
   in
-  let first =
-    grid_max2 ~f
-      ~grid1:(Grid.linspace lo1 hi1 points)
-      ~grid2:(Grid.linspace lo2 hi2 points)
-      ()
-  in
-  loop lo1 hi1 lo2 hi2 levels first
+  { x1 = x.(0); x2 = x.(1); f12 }
+
+let refine_grid_max2 ?levels ?points ~f =
+  refine_grid_max2_floor ?levels ?points ~f:(fun ~floor:_ -> f)
 
 (* Standard Nelder-Mead with reflection 1, expansion 2, contraction 0.5,
    shrink 0.5. *)

@@ -19,24 +19,47 @@ val golden_section_max :
 val grid_max :
   f:(float -> float) -> grid:float array -> unit -> point1
 (** Exhaustive maximisation over an explicit grid (first maximiser wins
-    ties).  The grid must be non-empty. *)
+    ties).  The grid must be non-empty; each point is evaluated once. *)
 
 val grid_max2 :
   f:(float -> float -> float) -> grid1:float array -> grid2:float array ->
   unit -> point2
-(** Exhaustive maximisation over a Cartesian product of grids. *)
+(** Exhaustive maximisation over a Cartesian product of grids, scanned
+    with [grid1] outermost (first maximiser wins ties). *)
 
 val refine_grid_max :
   ?levels:int -> ?points:int -> f:(float -> float) -> lo:float -> hi:float ->
   unit -> point1
 (** Multilevel grid refinement: scan [points] samples of [[lo, hi]], then
-    recurse on the bracket around the best sample, [levels] times.  Robust
-    to jump discontinuities; resolution improves geometrically. *)
+    rescan the bracket one sample either side of the best: [levels] scans
+    in all (at least one; fewer once the bracket collapses to a point).  Robust to jump
+    discontinuities; resolution improves geometrically.  A later level
+    replaces the best only with a strictly greater value, so the first
+    maximiser wins ties.  [f] is called [levels * points] times at
+    most. *)
+
+val refine_grid_max2_floor :
+  ?levels:int -> ?points:int -> f:(floor:float -> float -> float -> float) ->
+  lo1:float -> hi1:float -> lo2:float -> hi2:float -> unit -> point2
+(** Two-dimensional multilevel grid refinement over a rectangle, for an
+    objective that can stop early on points that cannot win.
+
+    {b Floor contract.}  Each call [f ~floor x1 x2] is passed the value
+    the point must beat to change the answer: the larger of the best
+    value of the earlier levels and the running best of the current
+    scan ([neg_infinity] for the very first point).  [f] must return the
+    exact objective value whenever that value is [> floor]; otherwise it
+    may return {e any} value [<= floor].  Because the best is replaced
+    only by strictly greater values, such an [f] yields the same point
+    and value, bit for bit, as the exact objective: same maximiser, same
+    tie-break.  [f] is called [levels * points * points] times at
+    most. *)
 
 val refine_grid_max2 :
   ?levels:int -> ?points:int -> f:(float -> float -> float) ->
   lo1:float -> hi1:float -> lo2:float -> hi2:float -> unit -> point2
-(** Two-dimensional multilevel grid refinement over a rectangle. *)
+(** {!refine_grid_max2_floor} with an exact objective that ignores the
+    floor. *)
 
 val nelder_mead :
   ?tol:float -> ?max_iter:int -> f:(float array -> float) ->

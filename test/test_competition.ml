@@ -118,6 +118,131 @@ let test_duopoly_theorem5_requires_public_option () =
        "Duopoly.check_theorem5: ISP J must be the Public Option") (fun () ->
       ignore (Duopoly.check_theorem5 ~config:cfg cps))
 
+(* The exhaustive best-response search the pruned one replaced, kept as
+   the oracle: the multilevel grid refinement with its whole first grid
+   scanned twice, scoring every point with a full migration solve. *)
+let oracle_grid_max2 ~f ~grid1 ~grid2 =
+  let best = ref (grid1.(0), grid2.(0), f grid1.(0) grid2.(0)) in
+  Array.iter
+    (fun x1 ->
+      Array.iter
+        (fun x2 ->
+          let v = f x1 x2 in
+          let _, _, bv = !best in
+          if v > bv then best := (x1, x2, v))
+        grid2)
+    grid1;
+  !best
+
+let oracle_refine_grid_max2 ~levels ~points ~f ~hi2 =
+  let scan lo1 hi1 lo2 hi2 =
+    oracle_grid_max2 ~f
+      ~grid1:(Po_num.Grid.linspace lo1 hi1 points)
+      ~grid2:(Po_num.Grid.linspace lo2 hi2 points)
+  in
+  let rec loop lo1 hi1 lo2 hi2 level ((_, _, bv) as best) =
+    if level = 0 then best
+    else
+      let ((_, _, lv) as local) = scan lo1 hi1 lo2 hi2 in
+      let ((b1, b2, _) as best) = if lv > bv then local else best in
+      let s1 = (hi1 -. lo1) /. float_of_int (points - 1) in
+      let s2 = (hi2 -. lo2) /. float_of_int (points - 1) in
+      loop
+        (Float.max lo1 (b1 -. s1)) (Float.min hi1 (b1 +. s1))
+        (Float.max lo2 (b2 -. s2)) (Float.min hi2 (b2 +. s2))
+        (level - 1) best
+  in
+  loop 0. 1. 0. hi2 levels (scan 0. 1. 0. hi2)
+
+let oracle_best_response_market_share ~levels ~points ~config:cfg cps =
+  let max_v =
+    Array.fold_left (fun acc (cp : Po_model.Cp.t) -> Float.max acc cp.Po_model.Cp.v) 0. cps
+  in
+  let hi_c = Float.max max_v 1e-9 in
+  let share kappa c =
+    (Duopoly.solve { cfg with Duopoly.strategy_i = Strategy.make ~kappa ~c } cps)
+      .Duopoly.m_i
+  in
+  let kappa, c, _ = oracle_refine_grid_max2 ~levels ~points ~f:share ~hi2:hi_c in
+  let strategy = Strategy.make ~kappa ~c in
+  (strategy, Duopoly.solve { cfg with Duopoly.strategy_i = strategy } cps)
+
+let po_config ~po_share ~nu =
+  Duopoly.config ~gamma_i:(1. -. po_share) ~nu
+    ~strategy_i:Strategy.public_option ()
+
+let bits_equal name a b =
+  Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let slow_test_best_response_matches_oracle () =
+  List.iter
+    (fun (n, seed, po_share, levels, points) ->
+      let cps = ensemble ~n seed in
+      let cfg = po_config ~po_share ~nu:(0.85 *. saturation cps) in
+      let s, eq = Duopoly.best_response_market_share ~levels ~points ~config:cfg cps in
+      let s', eq' = oracle_best_response_market_share ~levels ~points ~config:cfg cps in
+      let case = Printf.sprintf "n=%d seed=%d share=%g" n seed po_share in
+      Alcotest.(check bool)
+        (case ^ ": strategy " ^ Strategy.to_string s ^ " vs "
+       ^ Strategy.to_string s')
+        true (Strategy.equal s s');
+      bits_equal (case ^ ": m_i") eq'.Duopoly.m_i eq.Duopoly.m_i;
+      bits_equal (case ^ ": phi") eq'.Duopoly.phi eq.Duopoly.phi;
+      bits_equal (case ^ ": psi_i") eq'.Duopoly.psi_i eq.Duopoly.psi_i)
+    (List.concat_map
+       (fun (n, seed) ->
+         List.map
+           (fun po_share ->
+             if n = 12 && seed = 7 then (n, seed, po_share, 3, 5)
+             else (n, seed, po_share, 2, 9))
+           [ 0.3; 0.5; 0.7 ])
+       [ (12, 1); (12, 7); (20, 1); (20, 7) ])
+
+(* The pruned search stays well under the oracle's CP-game solve count on
+   a fixed market (about a fifth of it at the serve defaults). *)
+let test_best_response_solve_count () =
+  let cps = ensemble ~n:20 1003 in
+  let cfg = po_config ~po_share:0.5 ~nu:(0.85 *. saturation cps) in
+  let solves f =
+    Po_obs.Metrics.reset ();
+    Po_obs.Metrics.arm ();
+    Fun.protect ~finally:Po_obs.Metrics.disarm (fun () ->
+        ignore (f ());
+        Option.value ~default:0
+          (List.assoc_opt "cp_game.solves" (Po_obs.Metrics.counters ())))
+  in
+  let pruned =
+    solves (fun () ->
+        Duopoly.best_response_market_share ~levels:2 ~points:9 ~config:cfg cps)
+  in
+  let oracle =
+    solves (fun () ->
+        oracle_best_response_market_share ~levels:2 ~points:9 ~config:cfg cps)
+  in
+  if not (pruned > 0 && 2 * pruned < oracle) then
+    Alcotest.failf "pruned search made %d CP-game solves, oracle %d" pruned
+      oracle
+
+(* [market_share] is [solve]'s share bit for bit above the floor, and
+   never more than the floor below it. *)
+let prop_market_share_floor =
+  QCheck.Test.make ~name:"market_share keeps the floor contract" ~count:12
+    QCheck.(triple (float_bound_inclusive 1.) (float_bound_inclusive 1.)
+              (float_range (-0.1) 1.1))
+    (fun (kappa, c, floor) ->
+      let cps = ensemble ~n:20 141 in
+      let cfg =
+        { (po_config ~po_share:0.5 ~nu:(0.85 *. saturation cps)) with
+          Duopoly.strategy_i = Strategy.make ~kappa ~c }
+      in
+      let m = (Duopoly.solve cfg cps).Duopoly.m_i in
+      let exact = Duopoly.market_share ~floor:neg_infinity cfg cps in
+      let bounded = Duopoly.market_share ~floor cfg cps in
+      Int64.equal (Int64.bits_of_float exact) (Int64.bits_of_float m)
+      && (if m > floor then
+            Int64.equal (Int64.bits_of_float bounded) (Int64.bits_of_float m)
+          else bounded <= floor))
+
 (* ------------------------------------------------------------------ *)
 (* Oligopoly                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -414,6 +539,9 @@ let () =
           quick "capacity share matters" test_duopoly_capacity_share_matters;
           slow "theorem 5" slow_test_duopoly_theorem5;
           quick "theorem 5 guard" test_duopoly_theorem5_requires_public_option;
+          slow "best response matches oracle" slow_test_best_response_matches_oracle;
+          quick "best response solve count" test_best_response_solve_count;
+          prop prop_market_share_floor;
           prop prop_duopoly_share_in_unit_interval ] );
       ( "oligopoly",
         [ quick "config validation" test_oligopoly_config_validation;

@@ -252,6 +252,84 @@ let test_refine_grid_max2 () =
   check_close 1e-3 "x" 0.3 r.Optimize.x1;
   check_close 1e-3 "y" 0.7 r.Optimize.x2
 
+(* Every distinct grid point is evaluated once: a refinement costs
+   levels x points^d calls, an exhaustive grid its size. *)
+let test_grid_call_counts () =
+  let calls = ref 0 in
+  let f1 x = incr calls; -.((x -. 0.37) ** 2.) in
+  let f2 x y = incr calls; -.((x -. 0.3) ** 2.) -. ((y -. 0.7) ** 2.) in
+  let count name expected run =
+    calls := 0;
+    ignore (run ());
+    Alcotest.(check int) name expected !calls
+  in
+  count "refine_grid_max2 levels 2 points 9" 162 (fun () ->
+      Optimize.refine_grid_max2 ~levels:2 ~points:9 ~f:f2 ~lo1:0. ~hi1:1.
+        ~lo2:0. ~hi2:1. ());
+  count "refine_grid_max2 levels 3 points 13" 507 (fun () ->
+      Optimize.refine_grid_max2 ~levels:3 ~points:13 ~f:f2 ~lo1:0. ~hi1:1.
+        ~lo2:0. ~hi2:2. ());
+  count "refine_grid_max levels 3 points 41" 123 (fun () ->
+      Optimize.refine_grid_max ~levels:3 ~points:41 ~f:f1 ~lo:0. ~hi:1. ());
+  count "grid_max" 11 (fun () ->
+      Optimize.grid_max ~f:f1 ~grid:(Grid.linspace 0. 1. 11) ());
+  count "grid_max2" 12 (fun () ->
+      Optimize.grid_max2 ~f:f2 ~grid1:(Grid.linspace 0. 1. 3)
+        ~grid2:(Grid.linspace 0. 1. 4) ())
+
+(* On a plateau the first maximiser in scan order wins, and a later
+   level's equal value does not displace it. *)
+let test_refine_grid_max2_first_tie () =
+  let r =
+    Optimize.refine_grid_max2 ~levels:3 ~points:9
+      ~f:(fun x _ -> if x >= 0.5 then 1. else 0.)
+      ~lo1:0. ~hi1:1. ~lo2:0. ~hi2:1. ()
+  in
+  check_float "first x on the plateau" 0.5 r.Optimize.x1;
+  check_float "first y" 0. r.Optimize.x2;
+  let r = Optimize.grid_max2 ~f:(fun _ _ -> 1.) ~grid1:[| 1.; 2. |] ~grid2:[| 3.; 4. |] () in
+  check_float "grid_max2 tie x" 1. r.Optimize.x1;
+  check_float "grid_max2 tie y" 3. r.Optimize.x2
+
+(* The floor contract: an objective that answers anything <= floor for
+   the points that cannot beat it yields the exact objective's point and
+   value, bit for bit.  The objective has few levels, so ties abound, and
+   the stand-in answer varies between the floor itself, just below it,
+   and [neg_infinity]. *)
+let prop_floor_contract =
+  QCheck.Test.make ~name:"refine_grid_max2_floor keeps the exact answer"
+    ~count:200
+    QCheck.(triple small_nat (int_range 1 3) (int_range 3 9))
+    (fun (seed, levels, points) ->
+      let exact x y =
+        Float.of_int
+          (((truncate (x *. 997.) * 31) + (truncate (y *. 991.) * 17) + seed)
+           mod 5)
+      in
+      let calls = ref 0 in
+      let pruned ~floor x y =
+        incr calls;
+        let v = exact x y in
+        if v > floor then v
+        else
+          match (!calls + seed) mod 3 with
+          | 0 -> floor
+          | 1 -> floor -. 1.
+          | _ -> neg_infinity
+      in
+      let a =
+        Optimize.refine_grid_max2 ~levels ~points ~f:exact ~lo1:0. ~hi1:1.
+          ~lo2:0. ~hi2:2. ()
+      in
+      let b =
+        Optimize.refine_grid_max2_floor ~levels ~points ~f:pruned ~lo1:0.
+          ~hi1:1. ~lo2:0. ~hi2:2. ()
+      in
+      let bits = Int64.bits_of_float in
+      Int64.equal (bits a.Optimize.x1) (bits b.Optimize.x1)
+      && Int64.equal (bits a.Optimize.x2) (bits b.Optimize.x2)
+      && Int64.equal (bits a.Optimize.f12) (bits b.Optimize.f12))
+
 let test_nelder_mead_rosenbrock () =
   let f v =
     let x = v.(0) and y = v.(1) in
@@ -527,6 +605,9 @@ let () =
           quick "refine grid" test_refine_grid_max;
           quick "refine grid discontinuous" test_refine_grid_max_discontinuous;
           quick "refine grid 2d" test_refine_grid_max2;
+          quick "grid call counts" test_grid_call_counts;
+          quick "refine grid 2d ties" test_refine_grid_max2_first_tie;
+          prop prop_floor_contract;
           quick "nelder-mead rosenbrock" test_nelder_mead_rosenbrock;
           quick "maximize wrapper" test_maximize_nelder_mead;
           prop prop_golden_section_quadratics ] );
