@@ -73,83 +73,14 @@ let class_capacities ~nu ~strategy =
   ((1. -. kappa) *. nu, kappa *. nu)
 
 (* ------------------------------------------------------------------ *)
-(* Population operations                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The search phases below never touch a population directly: they see
-   it through this vtable, abstract in the storage type ['pop].  Two
-   families instantiate it — boxed [Cp.t] arrays (the optimized record
-   engine and the retained reference engine, which differ only in the
-   equilibrium kernel behind [solve_class]) and {!Cp_soa.t} float
-   columns (DESIGN.md §12), whose class solves run {!Equilibrium.solve_soa}
-   with no record materialisation anywhere on the hot path.  Every
-   operation is bit-identical across the families on equal populations,
-   so the game solver is too (test/test_soa.ml pins it). *)
-type 'pop ops = {
-  size : 'pop -> int;
-  id_at : 'pop -> int -> int;  (* memo identity of CP [i] *)
-  v_at : 'pop -> int -> float;
-  rho_at_cap : 'pop -> int -> float -> float;
-  members : 'pop -> Partition.t -> premium:bool -> 'pop;
-  solve_class :
-    bracket:(float * float) option -> nu:float -> 'pop ->
-    Equilibrium.solution;
-  solve_solo : nu:float -> 'pop -> int -> Equilibrium.solution;
-  solve_extended :
-    bracket:(float * float) option -> nu:float -> 'pop -> 'pop -> int ->
-    Equilibrium.solution;
-      (* members extended with CP [i] of the population, in last position *)
-  consumer : 'pop -> Equilibrium.solution -> float;
-}
-
-let record_ops kernel =
-  { size = Array.length;
-    id_at = (fun cps i -> cps.(i).Cp.id);
-    v_at = (fun cps i -> cps.(i).Cp.v);
-    rho_at_cap = (fun cps i cap -> rho_at_cap cps.(i) cap);
-    members =
-      (fun cps partition ~premium ->
-        if premium then Partition.premium_members partition cps
-        else Partition.ordinary_members partition cps);
-    solve_class = kernel;
-    solve_solo = (fun ~nu cps i -> kernel ~bracket:None ~nu [| cps.(i) |]);
-    solve_extended =
-      (fun ~bracket ~nu members cps i ->
-        kernel ~bracket ~nu (Array.append members [| cps.(i) |]));
-    consumer = (fun cps sol -> Surplus.consumer cps sol) }
-
-let soa_ops =
-  { size = Cp_soa.length;
-    id_at = (fun _ i -> i);  (* the index is the SoA identity *)
-    v_at = Cp_soa.v;
-    rho_at_cap =
-      (fun soa i cap ->
-        let theta = Float.min (Cp_soa.theta_hat soa i) (Float.max cap 0.) in
-        Cp_soa.rho soa i ~theta);
-    members =
-      (fun soa partition ~premium ->
-        Cp_soa.gather soa
-          (if premium then Partition.premium_indices partition
-           else Partition.ordinary_indices partition));
-    solve_class =
-      (fun ~bracket ~nu soa -> Equilibrium.solve_soa ?bracket ~nu soa);
-    solve_solo =
-      (fun ~nu soa i -> Equilibrium.solve_soa ~nu (Cp_soa.gather soa [| i |]));
-    solve_extended =
-      (fun ~bracket ~nu members soa i ->
-        Equilibrium.solve_soa ?bracket ~nu (Cp_soa.append_one members soa i));
-    consumer = (fun soa sol -> Surplus.consumer_soa soa sol) }
-
-(* ------------------------------------------------------------------ *)
 (* Solver engine                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* One engine lives for the duration of one equilibrium search.  It owns
 
-   - the population vtable, whose [solve_class] is the equilibrium
-     kernel (the optimized {!Equilibrium.solve}, the column
-     {!Equilibrium.solve_soa}, or the retained
-     {!Equilibrium.solve_reference} for differential testing),
+   - the equilibrium kernel behind every class re-solve: the optimized
+     {!Equilibrium.solve}, or the retained {!Equilibrium.solve_reference}
+     for differential testing (which ignores bracket hints),
    - a partition-keyed memo of class solutions — the phases of the
      search revisit partitions (cycle iterates, the finishing
      [outcome_of_partition], quiescent passes), and a class re-solve is
@@ -166,57 +97,52 @@ let soa_ops =
    hints cannot change {!Equilibrium.solve}'s output (see equilibrium.mli),
    so an engine with everything enabled matches the reference engine bit
    for bit — test/test_perf_kernel.ml holds it to that. *)
-type 'pop engine = {
-  ops : 'pop ops;
+type engine = {
+  kernel :
+    bracket:(float * float) option -> nu:float -> Cp.t array ->
+    Equilibrium.solution;
   (* R2-audit (no directive needed; only find_opt/add/mem/replace): all three engine tables are pure memos
      used through find_opt/replace only, never iterated, so Hashtbl order
      cannot reach any result. *)
   class_memo :
     (string, Equilibrium.solution * Equilibrium.solution) Hashtbl.t option;
-  solo_o : (int, float) Hashtbl.t option;  (* CP identity -> solo rho at nu_o *)
+  solo_o : (int, float) Hashtbl.t option;  (* CP id -> solo rho at nu_o *)
   solo_p : (int, float) Hashtbl.t option;
   mutable hint_o : (float * float) option;
   mutable hint_p : (float * float) option;
 }
 
-let cached_engine ops =
-  { ops;
+let optimized_engine () =
+  { kernel = (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps);
     class_memo = Some (Hashtbl.create 64);
     solo_o = Some (Hashtbl.create 64);
     solo_p = Some (Hashtbl.create 64);
     hint_o = None; hint_p = None }
 
-let optimized_engine () =
-  cached_engine
-    (record_ops (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps))
-
-let soa_engine () = cached_engine soa_ops
-
 let reference_engine () =
-  { ops =
-      record_ops (fun ~bracket:_ ~nu cps -> Equilibrium.solve_reference ~nu cps);
+  { kernel = (fun ~bracket:_ ~nu cps -> Equilibrium.solve_reference ~nu cps);
     class_memo = None; solo_o = None; solo_p = None;
     hint_o = None; hint_p = None }
 
 let class_solution_eng eng ~premium ~nu_class members =
-  if Float.equal nu_class 0. then zero_class_solution (eng.ops.size members)
+  if Float.equal nu_class 0. then zero_class_solution (Array.length members)
   else begin
     let bracket = if premium then eng.hint_p else eng.hint_o in
     if premium then eng.hint_p <- None else eng.hint_o <- None;
-    eng.ops.solve_class ~bracket ~nu:nu_class members
+    eng.kernel ~bracket ~nu:nu_class members
   end
 
 (* Both class solutions at a partition, memoised on the membership key
    (with a fixed population the key pins both member sets). *)
-let class_solutions eng ~nu_o ~nu_p pop partition =
+let class_solutions eng ~nu_o ~nu_p cps partition =
   let compute () =
     let sol_o =
       class_solution_eng eng ~premium:false ~nu_class:nu_o
-        (eng.ops.members pop partition ~premium:false)
+        (Partition.ordinary_members partition cps)
     in
     let sol_p =
       class_solution_eng eng ~premium:true ~nu_class:nu_p
-        (eng.ops.members pop partition ~premium:true)
+        (Partition.premium_members partition cps)
     in
     (sol_o, sol_p)
   in
@@ -260,44 +186,38 @@ let note_move eng ~to_premium ~cap_o ~cap_p =
    lure every CP simultaneously and destabilise the iteration — so the
    entrant anticipates its own solo equilibrium there instead.  Solo
    equilibria depend only on (CP, nu_class); the engine memoises them by
-   CP identity (record ids are unique within a population by
-   construction; the SoA identity is the index). *)
-let solo_rho eng ~premium ~nu_class pop i =
+   CP id (unique within a population by construction). *)
+let solo_rho eng ~premium ~nu_class (cp : Cp.t) =
   let compute () =
-    (eng.ops.solve_solo ~nu:nu_class pop i).Equilibrium.rho.(0)
+    (eng.kernel ~bracket:None ~nu:nu_class [| cp |]).Equilibrium.rho.(0)
   in
   match if premium then eng.solo_p else eng.solo_o with
   | None -> compute ()
   | Some memo -> (
-      let id = eng.ops.id_at pop i in
-      match Hashtbl.find_opt memo id with
+      match Hashtbl.find_opt memo cp.Cp.id with
       | Some rho ->
           Po_obs.Metrics.incr m_solo_hits;
           rho
       | None ->
           Po_obs.Metrics.incr m_solo_misses;
           let rho = compute () in
-          Hashtbl.replace memo id rho;
+          Hashtbl.replace memo cp.Cp.id rho;
           rho)
 
-let estimate_rho_eng eng ~premium ~nu_class ~occupied cap pop i =
+let estimate_rho eng ~premium ~nu_class ~occupied cap cp =
   if Float.equal nu_class 0. then 0.
-  else if occupied then eng.ops.rho_at_cap pop i cap
-  else solo_rho eng ~premium ~nu_class pop i
+  else if occupied then rho_at_cap cp cap
+  else solo_rho eng ~premium ~nu_class cp
 
-let estimate_rho (cp : Cp.t) ~nu_class ~occupied cap =
-  estimate_rho_eng (reference_engine ()) ~premium:false ~nu_class ~occupied
-    cap [| cp |] 0
-
-let outcome_of_partition_eng eng ~nu ~strategy pop partition =
+let outcome_of_partition_eng eng ~nu ~strategy cps partition =
   if nu < 0. then invalid_arg "Cp_game.outcome_of_partition: nu < 0";
-  let n = eng.ops.size pop in
+  let n = Array.length cps in
   if Partition.size partition <> n then
     invalid_arg "Cp_game.outcome_of_partition: partition size mismatch";
   let nu_o, nu_p = class_capacities ~nu ~strategy in
-  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p pop partition in
-  let ordinary = eng.ops.members pop partition ~premium:false in
-  let premium = eng.ops.members pop partition ~premium:true in
+  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps partition in
+  let ordinary = Partition.ordinary_members partition cps in
+  let premium = Partition.premium_members partition cps in
   let theta = Array.make n 0. and rho = Array.make n 0. in
   let fill indices (sol : Equilibrium.solution) =
     Array.iteri
@@ -309,7 +229,7 @@ let outcome_of_partition_eng eng ~nu ~strategy pop partition =
   fill (Partition.ordinary_indices partition) sol_o;
   fill (Partition.premium_indices partition) sol_p;
   let phi =
-    eng.ops.consumer ordinary sol_o +. eng.ops.consumer premium sol_p
+    Surplus.consumer ordinary sol_o +. Surplus.consumer premium sol_p
   in
   let lambda_premium = sol_p.Equilibrium.per_capita_rate in
   { strategy; nu; partition; theta; rho;
@@ -324,29 +244,30 @@ let outcome_of_partition ~nu ~strategy cps partition =
 
 (* One simultaneous best-response round: every CP re-decides against the
    current water levels.  Returns the new membership vector. *)
-let simultaneous_round eng ~nu ~strategy pop partition =
+let simultaneous_round eng ~nu ~strategy cps partition =
   Po_obs.Metrics.incr m_sync_rounds;
   let nu_o, nu_p = class_capacities ~nu ~strategy in
   let c = Strategy.c strategy in
-  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p pop partition in
+  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps partition in
   let cap_o = entrant_cap ~nu_class:nu_o sol_o in
   let cap_p = entrant_cap ~nu_class:nu_p sol_p in
   let occupied_o = Partition.ordinary_count partition > 0 in
   let occupied_p = Partition.premium_count partition > 0 in
   Partition.of_premium_indicator
-    (Array.init (eng.ops.size pop) (fun i ->
-         let v = eng.ops.v_at pop i in
+    (Array.map
+       (fun (cp : Cp.t) ->
          let u_ordinary =
-           v
-           *. estimate_rho_eng eng ~premium:false ~nu_class:nu_o
-                ~occupied:occupied_o cap_o pop i
+           cp.Cp.v
+           *. estimate_rho eng ~premium:false ~nu_class:nu_o
+                ~occupied:occupied_o cap_o cp
          in
          let u_premium =
-           (v -. c)
-           *. estimate_rho_eng eng ~premium:true ~nu_class:nu_p
-                ~occupied:occupied_p cap_p pop i
+           (cp.Cp.v -. c)
+           *. estimate_rho eng ~premium:true ~nu_class:nu_p
+                ~occupied:occupied_p cap_p cp
          in
-         u_premium > u_ordinary))
+         u_premium > u_ordinary)
+       cps)
 
 let default_hysteresis = 1e-3
 
@@ -359,7 +280,7 @@ let default_hysteresis = 1e-3
    throughput-taking assumption, without which a marginal CP whose own
    membership shifts the water level past its indifference point would
    flip for ever.  Returns the partition and whether any CP moved. *)
-let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy pop partition =
+let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy cps partition =
   Po_obs.Metrics.incr m_async_passes;
   let nu_o, nu_p = class_capacities ~nu ~strategy in
   let c = Strategy.c strategy in
@@ -375,27 +296,28 @@ let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy pop partition =
     match !caps with
     | Some pair -> pair
     | None ->
-        let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p pop !current in
+        let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps !current in
         let pair =
           (entrant_cap ~nu_class:nu_o sol_o, entrant_cap ~nu_class:nu_p sol_p)
         in
         caps := Some pair;
         pair
   in
-  for i = 0 to eng.ops.size pop - 1 do
+  for i = 0 to Array.length cps - 1 do
     let cap_o, cap_p = current_caps () in
     let occupied_o = n_total - !n_premium > 0 in
     let occupied_p = !n_premium > 0 in
-    let v = eng.ops.v_at pop i in
+    let cp = cps.(i) in
+    let v = cp.Cp.v in
     let u_ordinary =
       v
-      *. estimate_rho_eng eng ~premium:false ~nu_class:nu_o
-           ~occupied:occupied_o cap_o pop i
+      *. estimate_rho eng ~premium:false ~nu_class:nu_o ~occupied:occupied_o
+           cap_o cp
     in
     let u_premium =
       (v -. c)
-      *. estimate_rho_eng eng ~premium:true ~nu_class:nu_p
-           ~occupied:occupied_p cap_p pop i
+      *. estimate_rho eng ~premium:true ~nu_class:nu_p ~occupied:occupied_p
+           cap_p cp
     in
     let in_premium = Partition.in_premium !current i in
     let margin u = Float.abs u *. hysteresis in
@@ -428,31 +350,28 @@ let check_budget budget ~nu ~strategy =
           ("strategy", Strategy.to_string strategy) ]
         (fun () -> Po_sup.Budget.check b)
 
-let default_init_ops ops ~strategy pop =
-  let n = ops.size pop in
-  if Float.equal (Strategy.kappa strategy) 0. then Partition.all_ordinary n
+let default_init ~strategy cps =
+  if Float.equal (Strategy.kappa strategy) 0. then
+    Partition.all_ordinary (Array.length cps)
   else
     let c = Strategy.c strategy in
-    Partition.of_premium_indicator
-      (Array.init n (fun i -> ops.v_at pop i > c))
+    Partition.of_premium_indicator (Array.map (fun cp -> cp.Cp.v > c) cps)
 
 (* Ex-post per-capita throughput a deviator obtains in a target class.
    Joining can only push the target's water level down, so the target's
    current cap (when finite) bounds the re-solve from above. *)
-let expost_rho_eng eng ~nu_class ~cap_hint members pop i =
+let expost_rho eng ~nu_class ~cap_hint members cp =
   if Float.equal nu_class 0. then 0.
   else begin
     let bracket =
       if Float.is_finite cap_hint && cap_hint > 0. then Some (0., cap_hint)
       else None
     in
-    let sol = eng.ops.solve_extended ~bracket ~nu:nu_class members pop i in
-    sol.Equilibrium.rho.(eng.ops.size members)
+    let sol =
+      eng.kernel ~bracket ~nu:nu_class (Array.append members [| cp |])
+    in
+    sol.Equilibrium.rho.(Array.length members)
   end
-
-let expost_rho ~nu_class members (cp : Cp.t) =
-  expost_rho_eng (reference_engine ()) ~nu_class ~cap_hint:Float.nan members
-    [| cp |] 0
 
 (* Position of every CP inside its class's member array — shared by the
    Nash pass and audits, replacing the per-CP linear rediscovery that
@@ -479,12 +398,10 @@ let own_rho partition positions (sol_o : Equilibrium.solution)
   let sol = if Partition.in_premium partition i then sol_p else sol_o in
   sol.Equilibrium.rho.(positions.(i))
 
-let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy pop =
+let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy cps =
   if nu < 0. then invalid_arg "Cp_game.solve_nash: nu < 0";
   let init =
-    match init with
-    | Some p -> p
-    | None -> default_init_ops eng.ops ~strategy pop
+    match init with Some p -> p | None -> default_init ~strategy cps
   in
   let nu_o, nu_p = class_capacities ~nu ~strategy in
   let c = Strategy.c strategy in
@@ -501,30 +418,31 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy pop =
       match !state with
       | Some s -> s
       | None ->
-          let ordinary = eng.ops.members pop !current ~premium:false in
-          let premium = eng.ops.members pop !current ~premium:true in
-          let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p pop !current in
+          let ordinary = Partition.ordinary_members !current cps in
+          let premium = Partition.premium_members !current cps in
+          let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps !current in
           let s = (ordinary, premium, sol_o, sol_p, class_positions !current) in
           state := Some s;
           s
     in
-    for i = 0 to eng.ops.size pop - 1 do
+    for i = 0 to Array.length cps - 1 do
       let ordinary, premium, sol_o, sol_p, positions = current_state () in
       let rho_own = own_rho !current positions sol_o sol_p i in
-      let v = eng.ops.v_at pop i in
+      let cp = cps.(i) in
+      let v = cp.Cp.v in
       let wants_premium =
         if Partition.in_premium !current i then
           let rho_dev =
-            expost_rho_eng eng ~nu_class:nu_o
+            expost_rho eng ~nu_class:nu_o
               ~cap_hint:(entrant_cap ~nu_class:nu_o sol_o)
-              ordinary pop i
+              ordinary cp
           in
           (v -. c) *. rho_own > v *. rho_dev
         else
           let rho_dev =
-            expost_rho_eng eng ~nu_class:nu_p
+            expost_rho eng ~nu_class:nu_p
               ~cap_hint:(entrant_cap ~nu_class:nu_p sol_p)
-              premium pop i
+              premium cp
           in
           (v -. c) *. rho_dev > v *. rho_own
       in
@@ -542,12 +460,12 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy pop =
   in
   let rec loop partition round =
     if round >= max_rounds then
-      { (outcome_of_partition_eng eng ~nu ~strategy pop partition) with
+      { (outcome_of_partition_eng eng ~nu ~strategy cps partition) with
         converged = false; iterations = round; concept = Expost_nash }
     else
       let partition', moved = pass partition in
       if not moved then
-        { (outcome_of_partition_eng eng ~nu ~strategy pop partition') with
+        { (outcome_of_partition_eng eng ~nu ~strategy cps partition') with
           converged = true; iterations = round + 1; concept = Expost_nash }
       else loop partition' (round + 1)
   in
@@ -557,22 +475,20 @@ let solve_nash ?budget ?init ?max_rounds ~nu ~strategy cps =
   solve_nash_eng (optimized_engine ()) ?budget ?init ?max_rounds ~nu ~strategy
     cps
 
-let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy pop =
+let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
   if nu < 0. then invalid_arg "Cp_game.solve: nu < 0";
   Po_obs.Metrics.incr m_solves;
   let init =
-    match init with
-    | Some p -> p
-    | None -> default_init_ops eng.ops ~strategy pop
+    match init with Some p -> p | None -> default_init ~strategy cps
   in
-  if Partition.size init <> eng.ops.size pop then
+  if Partition.size init <> Array.length cps then
     invalid_arg "Cp_game.solve: init partition size mismatch";
   (* R2-audit (no directive needed; only find_opt/add/mem/replace): cycle-detection set over partition keys;
      only mem/add are used, nothing is ever iterated, so Hashtbl order
      cannot influence which partition the solver settles on. *)
   let seen = Hashtbl.create 64 in
   let finish ?(tolerance = 0.) partition ~converged ~iterations =
-    { (outcome_of_partition_eng eng ~nu ~strategy pop partition) with
+    { (outcome_of_partition_eng eng ~nu ~strategy cps partition) with
       converged; iterations; concept = Competitive tolerance }
   in
   (* Phase 3: tolerant asynchronous passes.  A quiescent pass at threshold
@@ -592,7 +508,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy pop =
           m "tolerant phase exhausted at nu=%g %s; falling back to ex-post \
              Nash" nu
             (Strategy.to_string strategy));
-      let nash = solve_nash_eng eng ?budget ~init:partition ~nu ~strategy pop in
+      let nash = solve_nash_eng eng ?budget ~init:partition ~nu ~strategy cps in
       { nash with
         iterations = rounds_used + passes + nash.iterations }
     end
@@ -601,7 +517,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy pop =
         default_hysteresis *. (2. ** float_of_int (passes / 6))
       in
       let partition', moved =
-        asynchronous_pass ~hysteresis eng ~nu ~strategy pop partition
+        asynchronous_pass ~hysteresis eng ~nu ~strategy cps partition
       in
       if not moved then
         finish ~tolerance:hysteresis partition' ~converged:true
@@ -616,7 +532,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy pop =
     if passes > 8 then tolerant partition (rounds_used + passes) 0
     else
       let partition', moved =
-        asynchronous_pass eng ~nu ~strategy pop partition
+        asynchronous_pass eng ~nu ~strategy cps partition
       in
       if not moved then
         finish partition' ~converged:true ~iterations:(rounds_used + passes + 1)
@@ -649,7 +565,7 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy pop =
       end
       else begin
         Hashtbl.add seen key ();
-        let partition' = simultaneous_round eng ~nu ~strategy pop partition in
+        let partition' = simultaneous_round eng ~nu ~strategy cps partition in
         if Partition.equal partition partition' then
           finish partition' ~converged:true ~iterations:(n + 1)
         else sync partition' (Some partition) (n + 1)
@@ -664,14 +580,8 @@ let solve ?budget ?init ?max_iter ~nu ~strategy cps =
 let solve_reference ?init ?max_iter ~nu ~strategy cps =
   solve_eng (reference_engine ()) ?init ?max_iter ~nu ~strategy cps
 
-let solve_soa ?budget ?init ?max_iter ~nu ~strategy soa =
-  solve_eng (soa_engine ()) ?budget ?init ?max_iter ~nu ~strategy soa
-
 let solve_nash_reference ?init ?max_rounds ~nu ~strategy cps =
   solve_nash_eng (reference_engine ()) ?init ?max_rounds ~nu ~strategy cps
-
-let solve_nash_soa ?budget ?init ?max_rounds ~nu ~strategy soa =
-  solve_nash_eng (soa_engine ()) ?budget ?init ?max_rounds ~nu ~strategy soa
 
 (* ------------------------------------------------------------------ *)
 (* Typed error channel (DESIGN.md §10)                                *)
@@ -693,30 +603,23 @@ let ensure_converged ?(context = []) outcome =
              | Expost_nash -> Float.nan);
            iterations = outcome.iterations })
 
-let checked run =
-  Po_guard.Po_error.capture (fun () ->
-      match run () with
-      | o -> ensure_converged o
-      | exception Invalid_argument msg ->
-          Po_guard.Po_error.fail
-            (Po_guard.Po_error.Invalid_scenario msg))
-
 let solve_checked ?budget ?init ?max_iter ~nu ~strategy cps =
-  checked (fun () -> solve ?budget ?init ?max_iter ~nu ~strategy cps)
-
-let solve_soa_checked ?budget ?init ?max_iter ~nu ~strategy soa =
-  checked (fun () -> solve_soa ?budget ?init ?max_iter ~nu ~strategy soa)
+  Po_guard.Po_error.checked
+    (fun () -> solve ?budget ?init ?max_iter ~nu ~strategy cps)
+    (ensure_converged ~context:[])
 
 let solve_nash_checked ?budget ?init ?max_rounds ~nu ~strategy cps =
-  checked (fun () -> solve_nash ?budget ?init ?max_rounds ~nu ~strategy cps)
-
-let solve_nash_soa_checked ?budget ?init ?max_rounds ~nu ~strategy soa =
-  checked (fun () ->
-      solve_nash_soa ?budget ?init ?max_rounds ~nu ~strategy soa)
+  Po_guard.Po_error.checked
+    (fun () -> solve_nash ?budget ?init ?max_rounds ~nu ~strategy cps)
+    (ensure_converged ~context:[])
 
 (* ------------------------------------------------------------------ *)
 (* Equilibrium audits                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* The audits solve classes with {!class_solution} and take solo and
+   ex-post rates from one cold reference engine per audit: no memos, and
+   its kernel ignores bracket hints. *)
 
 let check_competitive ?(tol = 1e-9) ?(rel_tol = 0.) ~nu ~strategy cps
     partition =
@@ -732,17 +635,21 @@ let check_competitive ?(tol = 1e-9) ?(rel_tol = 0.) ~nu ~strategy cps
   let cap_p = entrant_cap ~nu_class:nu_p sol_p in
   let occupied_o = Partition.ordinary_count partition > 0 in
   let occupied_p = Partition.premium_count partition > 0 in
+  let eng = reference_engine () in
   let n = Array.length cps in
   let rec scan i =
     if i >= n then Ok ()
     else begin
       let cp = cps.(i) in
       let u_ordinary =
-        cp.Cp.v *. estimate_rho cp ~nu_class:nu_o ~occupied:occupied_o cap_o
+        cp.Cp.v
+        *. estimate_rho eng ~premium:false ~nu_class:nu_o ~occupied:occupied_o
+             cap_o cp
       in
       let u_premium =
         (cp.Cp.v -. c)
-        *. estimate_rho cp ~nu_class:nu_p ~occupied:occupied_p cap_p
+        *. estimate_rho eng ~premium:true ~nu_class:nu_p ~occupied:occupied_p
+             cap_p cp
       in
       (* Ties (within the slack) are acceptable in either class; only a
          clear preference for the other class is a violation. *)
@@ -773,6 +680,7 @@ let check_nash ?(tol = 1e-9) ~nu ~strategy cps partition =
   let sol_o = class_solution ~nu_class:nu_o ordinary in
   let sol_p = class_solution ~nu_class:nu_p premium in
   let positions = class_positions partition in
+  let eng = reference_engine () in
   let n = Array.length cps in
   let rec scan i =
     if i >= n then Ok ()
@@ -781,7 +689,9 @@ let check_nash ?(tol = 1e-9) ~nu ~strategy cps partition =
       let rho_own = own_rho partition positions sol_o sol_p i in
       if Partition.in_premium partition i then begin
         (* Deviating to ordinary: evaluated with i included there. *)
-        let rho_dev = expost_rho ~nu_class:nu_o ordinary cp in
+        let rho_dev =
+          expost_rho eng ~nu_class:nu_o ~cap_hint:Float.nan ordinary cp
+        in
         let u_stay = (cp.Cp.v -. c) *. rho_own in
         let u_dev = cp.Cp.v *. rho_dev in
         if u_stay < u_dev -. tol then
@@ -793,7 +703,9 @@ let check_nash ?(tol = 1e-9) ~nu ~strategy cps partition =
         else scan (i + 1)
       end
       else begin
-        let rho_dev = expost_rho ~nu_class:nu_p premium cp in
+        let rho_dev =
+          expost_rho eng ~nu_class:nu_p ~cap_hint:Float.nan premium cp
+        in
         let u_stay = cp.Cp.v *. rho_own in
         let u_dev = (cp.Cp.v -. c) *. rho_dev in
         if u_dev > u_stay +. tol then

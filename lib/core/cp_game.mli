@@ -91,9 +91,7 @@ val solve :
     one-sided bracket around the previous water level (the level moves
     monotonically when one CP enters or leaves; DESIGN.md §9).  All of
     these are bit-transparent, so {!solve} agrees with {!solve_reference}
-    bit for bit.  The engine is polymorphic in the population storage
-    (DESIGN.md §12): the same search phases run over boxed [Cp.t] arrays
-    or over {!Po_model.Cp_soa.t} columns ({!solve_soa}).
+    bit for bit.
 
     [budget] is a [Po_sup.Budget] deadline/cancellation token
     (DESIGN.md §13), checked cooperatively at the start of every
@@ -101,15 +99,6 @@ val solve :
     expiry the search raises a typed [Deadline_exceeded] (or
     [Cancelled]) stamped with the solver frames rather than hanging.
     A budget never changes the outcome of a search that completes. *)
-
-val solve_soa :
-  ?budget:Po_sup.Budget.t -> ?init:Partition.t -> ?max_iter:int ->
-  nu:float -> strategy:Strategy.t -> Po_model.Cp_soa.t -> outcome
-(** {!solve} over a structure-of-arrays population: class solves run
-    {!Po_model.Equilibrium.solve_soa} on gathered columns and no [Cp.t]
-    record is allocated anywhere in the search.  Bit-identical to
-    [solve ~nu ~strategy (Cp_soa.to_cps soa)] on every input
-    (test/test_soa.ml). *)
 
 val solve_reference :
   ?init:Partition.t -> ?max_iter:int -> nu:float -> strategy:Strategy.t ->
@@ -148,13 +137,6 @@ val solve_nash_reference :
   Po_model.Cp.t array -> outcome
 (** {!solve_nash} on the cold reference engine (see {!solve_reference}). *)
 
-val solve_nash_soa :
-  ?budget:Po_sup.Budget.t -> ?init:Partition.t -> ?max_rounds:int ->
-  nu:float -> strategy:Strategy.t -> Po_model.Cp_soa.t -> outcome
-(** {!solve_nash} over a structure-of-arrays population (see
-    {!solve_soa}); deviation re-solves extend the target class's columns
-    in place of appending a record. *)
-
 val ensure_converged : ?context:(string * string) list -> outcome -> outcome
 (** Identity on a converged outcome; raises [Po_guard.Po_error.Error]
     with kind [Non_convergence] (stamped with the solver name, [nu] and
@@ -169,25 +151,17 @@ val solve_checked :
 (** {!solve} through the typed error channel: [Error] carries
     [Non_convergence] when the iteration budget ran out (where {!solve}
     returns [converged = false]), [Invalid_scenario] for domain errors,
-    and any typed error the inner equilibrium solves raised. *)
+    and any typed error the inner equilibrium solves raised.
 
-val solve_soa_checked :
-  ?budget:Po_sup.Budget.t -> ?init:Partition.t -> ?max_iter:int ->
-  nu:float -> strategy:Strategy.t -> Po_model.Cp_soa.t ->
-  (outcome, Po_guard.Po_error.t) result
-(** {!solve_soa} through the typed error channel (see
-    {!solve_checked}). *)
+    No figure or driver calls the two [_checked] twins today; they stay
+    as the boundary companions lint rule R8 keys on.  R8(a) flags an
+    unchecked call to [f] in figure/experiment/driver code only while
+    [f_checked] exists, so they keep {!solve} and {!solve_nash} guarded
+    there (DESIGN.md §10). *)
 
 val solve_nash_checked :
   ?budget:Po_sup.Budget.t -> ?init:Partition.t -> ?max_rounds:int ->
   nu:float -> strategy:Strategy.t -> Po_model.Cp.t array ->
   (outcome, Po_guard.Po_error.t) result
 (** {!solve_nash} through the typed error channel (see
-    {!solve_checked}). *)
-
-val solve_nash_soa_checked :
-  ?budget:Po_sup.Budget.t -> ?init:Partition.t -> ?max_rounds:int ->
-  nu:float -> strategy:Strategy.t -> Po_model.Cp_soa.t ->
-  (outcome, Po_guard.Po_error.t) result
-(** {!solve_nash_soa} through the typed error channel (see
     {!solve_checked}). *)

@@ -83,17 +83,15 @@ let run ?eta ?(tol = 1e-4) ?(max_steps = 500) config cps state =
   loop state 0
 
 let run_checked ?eta ?tol ?max_steps config cps state =
-  Po_guard.Po_error.capture (fun () ->
-      match run ?eta ?tol ?max_steps config cps state with
+  Po_guard.Po_error.checked
+    (fun () -> run ?eta ?tol ?max_steps config cps state)
+    (function
       | final, true -> final
       | final, false ->
           Po_guard.Po_error.fail
             ~context:[ ("stage", "migration") ]
             (Po_guard.Po_error.Non_convergence
-               { residual = surplus_spread final; iterations = final.time })
-      | exception Invalid_argument msg ->
-          Po_guard.Po_error.fail
-            (Po_guard.Po_error.Invalid_scenario msg))
+               { residual = surplus_spread final; iterations = final.time }))
 
 let run_continuous ?(dt = 0.2) ?(tol = 1e-4) ?(max_steps = 2000) config cps
     state =

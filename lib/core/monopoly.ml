@@ -108,12 +108,9 @@ let regime_outcome ~nu regime cps =
         cps
 
 let regime_outcome_checked ~nu regime cps =
-  Po_guard.Po_error.capture (fun () ->
-      match regime_outcome ~nu regime cps with
-      | o -> Cp_game.ensure_converged ~context:[ ("stage", "regime") ] o
-      | exception Invalid_argument msg ->
-          Po_guard.Po_error.fail
-            (Po_guard.Po_error.Invalid_scenario msg))
+  Po_guard.Po_error.checked
+    (fun () -> regime_outcome ~nu regime cps)
+    (Cp_game.ensure_converged ~context:[ ("stage", "regime") ])
 
 let check_theorem4 ?(tol = 1e-6) ~nu ~c ~kappas cps =
   let revenue kappa =

@@ -194,12 +194,9 @@ let solve ?pool ?(curve_points = 140) ?prices config cps =
   solve_given_curves ~nu_sat ~curves ?prices config cps
 
 let solve_checked ?pool ?curve_points ?prices config cps =
-  Po_guard.Po_error.capture (fun () ->
-      match solve ?pool ?curve_points ?prices config cps with
-      | eq -> eq
-      | exception Invalid_argument msg ->
-          Po_guard.Po_error.fail
-            (Po_guard.Po_error.Invalid_scenario msg))
+  Po_guard.Po_error.checked
+    (fun () -> solve ?pool ?curve_points ?prices config cps)
+    Fun.id
 
 (* The surplus curve of a strategy is independent of the rival profile, so
    searches over a strategy menu cache one curve per strategy. *)
@@ -308,20 +305,17 @@ let market_share_nash ?pool ?(rounds = 10) ?strategies ?(curve_points = 90)
 
 let market_share_nash_checked ?pool ?rounds ?strategies ?curve_points config
     cps =
-  Po_guard.Po_error.capture (fun () ->
-      match market_share_nash ?pool ?rounds ?strategies ?curve_points config
-              cps
-      with
+  Po_guard.Po_error.checked
+    (fun () ->
+      market_share_nash ?pool ?rounds ?strategies ?curve_points config cps)
+    (function
       | cfg, eq, true -> (cfg, eq)
       | _, _, false ->
           Po_guard.Po_error.fail
             ~context:[ ("stage", "market_share_nash") ]
             (Po_guard.Po_error.Non_convergence
                { residual = Float.nan;
-                 iterations = Option.value rounds ~default:10 })
-      | exception Invalid_argument msg ->
-          Po_guard.Po_error.fail
-            (Po_guard.Po_error.Invalid_scenario msg))
+                 iterations = Option.value rounds ~default:10 }))
 
 let check_lemma4 ?(tol = 5e-3) config cps =
   let s0 = config.isps.(0).strategy in

@@ -24,6 +24,12 @@ let with_context frames f =
 
 let capture f = try Ok (f ()) with Error e -> Result.error e
 
+let checked run finish =
+  capture (fun () ->
+      match run () with
+      | x -> finish x
+      | exception Invalid_argument msg -> fail (Invalid_scenario msg))
+
 let kind_to_string = function
   | No_bracket msg -> Printf.sprintf "no bracket: %s" msg
   | Non_convergence { residual; iterations } ->

@@ -75,6 +75,14 @@ val capture : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, catching {!Error} — the bridge from the raising world
     to the [result] world.  Other exceptions pass through. *)
 
+val checked : (unit -> 'a) -> ('a -> 'b) -> ('b, t) result
+(** The body of a [_checked] boundary companion: [checked run finish] is
+    [capture (fun () -> finish (run ()))], except that an
+    [Invalid_argument msg] raised by [run] — a solver's domain check —
+    becomes [Invalid_scenario msg].  One raised by [finish] passes
+    through like any other untyped exception; [finish] typically turns a
+    best-effort result into a [Non_convergence] with {!fail}. *)
+
 val kind_to_string : kind -> string
 
 val to_string : t -> string

@@ -105,9 +105,9 @@ let catalogue =
         "The ensembles behind every figure are only trustworthy because \
          no solver failure is swallowed (DESIGN.md section 10).  In \
          figure/experiment code, a solver that has a _checked companion \
-         (Cp_game.solve, Cp_game.solve_nash, Equilibrium.solve and their \
-         _soa variants, Oligopoly.solve, Monopoly.regime_outcome, ...) \
-         must be called through it or have its outcome fed to \
+         (Cp_game.solve, Cp_game.solve_nash, Equilibrium.solve, \
+         Equilibrium.solve_soa, Oligopoly.solve, Monopoly.regime_outcome, \
+         ...) must be called through it or have its outcome fed to \
          ensure_converged; the ?budget-threaded entry points of the \
          supervision layer (DESIGN.md section 13) keep the same _checked \
          companions, and their Deadline_exceeded / Cancelled failures \

@@ -95,21 +95,6 @@ let concat parts =
     v = col (fun p -> p.v);
     phi = col (fun p -> p.phi) }
 
-let append_one t src i =
-  let col c s = Array.append c [| s.(i) |] in
-  (* Both inputs were validated at construction. *)
-  { n = t.n + 1; alpha = col t.alpha src.alpha;
-    theta_hat = col t.theta_hat src.theta_hat; beta = col t.beta src.beta;
-    v = col t.v src.v; phi = col t.phi src.phi }
-
-let gather t indices =
-  let m = Array.length indices in
-  let col c = Array.init m (fun s -> c.(indices.(s))) in
-  (* Columns were validated at construction; gathering cannot invalidate
-     them, so skip the O(m) re-checks of [make]. *)
-  { n = m; alpha = col t.alpha; theta_hat = col t.theta_hat;
-    beta = col t.beta; v = col t.v; phi = col t.phi }
-
 (* ------------------------------------------------------------------ *)
 (* Demand evaluation (bit-identical to the record path)               *)
 (* ------------------------------------------------------------------ *)

@@ -47,19 +47,9 @@ val to_cps : t -> Cp.t array
 val get : t -> int -> Cp.t
 (** The single CP at an index, as a record. *)
 
-val gather : t -> int array -> t
-(** [gather t indices] is the sub-population whose position [s] is CP
-    [indices.(s)] of [t] — the SoA analogue of
-    [Partition.ordinary_members]; O(|indices|), no re-validation. *)
-
 val concat : t array -> t
 (** Concatenate populations in array order (chunk assembly of the
     streaming generators); O(total size), no re-validation. *)
-
-val append_one : t -> t -> int -> t
-(** [append_one members src i] extends [members] with CP [i] of [src] in
-    the last position — the SoA analogue of
-    [Array.append members [| cp |]] in ex-post deviation solves. *)
 
 val demand_curve : beta:float -> float -> float
 (** The exponential-family curve [d(omega) = exp (-beta (1/omega - 1))]

@@ -447,18 +447,14 @@ let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu soa =
   end
 
 let solve_checked ?budget ?context ?bracket ?weights ?tol ~nu cps =
-  match solve ?budget ?context ?bracket ?weights ?tol ~nu cps with
-  | solution -> Ok solution
-  | exception Po_guard.Po_error.Error e -> Error e
-  | exception Invalid_argument msg ->
-      Error (Po_guard.Po_error.v (Po_guard.Po_error.Invalid_scenario msg))
+  Po_guard.Po_error.checked
+    (fun () -> solve ?budget ?context ?bracket ?weights ?tol ~nu cps)
+    Fun.id
 
 let solve_soa_checked ?budget ?context ?bracket ?weights ?tol ~nu soa =
-  match solve_soa ?budget ?context ?bracket ?weights ?tol ~nu soa with
-  | solution -> Ok solution
-  | exception Po_guard.Po_error.Error e -> Error e
-  | exception Invalid_argument msg ->
-      Error (Po_guard.Po_error.v (Po_guard.Po_error.Invalid_scenario msg))
+  Po_guard.Po_error.checked
+    (fun () -> solve_soa ?budget ?context ?bracket ?weights ?tol ~nu soa)
+    Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* Record-based reference solver (retained, DESIGN.md §9 and §12)     *)

@@ -159,6 +159,61 @@ let test_solver_site () =
       | Error e -> Alcotest.failf "wrong error: %s" (Po_error.to_string e)
       | Ok _ -> Alcotest.fail "armed solver site did not fire")
 
+(* The CP game's typed-error twins: a spent iteration budget and a
+   domain error come back as values, and a normal call answers exactly
+   what the raising solver does. *)
+let test_cp_game_checked () =
+  let open Po_core in
+  let cps = Po_workload.Ensemble.paper_ensemble ~n:10 ~seed:3 () in
+  let nu = 0.3 *. Po_workload.Ensemble.saturation_nu cps in
+  let strategy = Strategy.make ~kappa:0.5 ~c:0.3 in
+  let non_convergence name = function
+    | Error { Po_error.kind = Po_error.Non_convergence _; context } -> (
+        match List.assoc_opt "solver" context with
+        | Some "cp_game" -> ()
+        | _ -> Alcotest.failf "%s: no solver=cp_game frame" name)
+    | Error e -> Alcotest.failf "%s: wrong error: %s" name (Po_error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: expected Non_convergence" name
+  in
+  non_convergence "solve_checked ~max_iter:0"
+    (Cp_game.solve_checked ~max_iter:0 ~nu ~strategy cps);
+  non_convergence "solve_nash_checked ~max_rounds:0"
+    (Cp_game.solve_nash_checked ~max_rounds:0 ~nu ~strategy cps);
+  let invalid name expected = function
+    | Error { Po_error.kind = Po_error.Invalid_scenario msg; _ } ->
+        Alcotest.(check string) name expected msg
+    | Error e -> Alcotest.failf "%s: wrong error: %s" name (Po_error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: expected Invalid_scenario" name
+  in
+  invalid "solve_checked nu < 0" "Cp_game.solve: nu < 0"
+    (Cp_game.solve_checked ~nu:(-1.) ~strategy cps);
+  invalid "solve_nash_checked nu < 0" "Cp_game.solve_nash: nu < 0"
+    (Cp_game.solve_nash_checked ~nu:(-1.) ~strategy cps);
+  let same name (expected : Cp_game.outcome) = function
+    | Error e -> Alcotest.failf "%s: %s" name (Po_error.to_string e)
+    | Ok (got : Cp_game.outcome) ->
+        let bits (o : Cp_game.outcome) =
+          Array.map Int64.bits_of_float
+            (Array.concat
+               [ o.theta; o.rho;
+                 [| o.cap_ordinary; o.cap_premium; o.lambda_ordinary;
+                    o.lambda_premium; o.phi; o.psi |] ])
+        in
+        Alcotest.(check string)
+          (name ^ " partition")
+          (Partition.key expected.partition)
+          (Partition.key got.partition);
+        Alcotest.(check (array int64)) (name ^ " bits") (bits expected) (bits got);
+        Alcotest.(check int)
+          (name ^ " iterations")
+          expected.iterations got.iterations
+  in
+  same "solve_checked" (Cp_game.solve ~nu ~strategy cps)
+    (Cp_game.solve_checked ~nu ~strategy cps);
+  same "solve_nash_checked"
+    (Cp_game.solve_nash ~nu ~strategy cps)
+    (Cp_game.solve_nash_checked ~nu ~strategy cps)
+
 (* ------------------------------------------------------------------ *)
 (* Hardened pool                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -433,7 +488,8 @@ let () =
         [ quick "spec parse" test_spec_parse;
           quick "spec round trip" test_spec_roundtrip;
           quick "fire semantics" test_fire_counters;
-          quick "solver site" test_solver_site ] );
+          quick "solver site" test_solver_site;
+          quick "cp game checked twins" test_cp_game_checked ] );
       ( "pool",
         [ quick "injected worker crash" test_injected_worker_crash;
           quick "typed error passthrough" test_typed_error_passthrough;
