@@ -326,7 +326,7 @@ let write_xl_json ~rows ~exponents =
   Printf.printf "xl scaling results written to %s\n\n" path
 
 (* CI smoke: generate n = 10^5 on the fault-hardened pool, then solve
-   from several pool workers through the checked entry point — the whole
+   from several pool workers, each capturing typed errors — the whole
    large-n stack (jump-chunked generation, column context, typed error
    channel) exercised under domains in a few seconds. *)
 let run_xl_smoke () =
@@ -342,7 +342,8 @@ let run_xl_smoke () =
         let sat = Po_model.Cp_soa.saturation_nu soa in
         Po_par.Pool.parallel_init pool 3 (fun k ->
             let nu = float_of_int (1 + k) *. 0.25 *. sat in
-            Po_model.Equilibrium.solve_soa_checked ~nu soa))
+            Po_guard.Po_error.capture (fun () ->
+                Po_model.Equilibrium.solve_soa ~nu soa)))
   in
   let ok =
     Array.for_all

@@ -603,16 +603,6 @@ let ensure_converged ?(context = []) outcome =
              | Expost_nash -> Float.nan);
            iterations = outcome.iterations })
 
-let solve_checked ?budget ?init ?max_iter ~nu ~strategy cps =
-  Po_guard.Po_error.checked
-    (fun () -> solve ?budget ?init ?max_iter ~nu ~strategy cps)
-    (ensure_converged ~context:[])
-
-let solve_nash_checked ?budget ?init ?max_rounds ~nu ~strategy cps =
-  Po_guard.Po_error.checked
-    (fun () -> solve_nash ?budget ?init ?max_rounds ~nu ~strategy cps)
-    (ensure_converged ~context:[])
-
 (* ------------------------------------------------------------------ *)
 (* Equilibrium audits                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -144,24 +144,3 @@ val ensure_converged : ?context:(string * string) list -> outcome -> outcome
     one — the guard call sites use so that a dropped [converged] flag
     can never silently feed a figure (DESIGN.md §10). *)
 
-val solve_checked :
-  ?budget:Po_sup.Budget.t -> ?init:Partition.t -> ?max_iter:int ->
-  nu:float -> strategy:Strategy.t -> Po_model.Cp.t array ->
-  (outcome, Po_guard.Po_error.t) result
-(** {!solve} through the typed error channel: [Error] carries
-    [Non_convergence] when the iteration budget ran out (where {!solve}
-    returns [converged = false]), [Invalid_scenario] for domain errors,
-    and any typed error the inner equilibrium solves raised.
-
-    No figure or driver calls the two [_checked] twins today; they stay
-    as the boundary companions lint rule R8 keys on.  R8(a) flags an
-    unchecked call to [f] in figure/experiment/driver code only while
-    [f_checked] exists, so they keep {!solve} and {!solve_nash} guarded
-    there (DESIGN.md §10). *)
-
-val solve_nash_checked :
-  ?budget:Po_sup.Budget.t -> ?init:Partition.t -> ?max_rounds:int ->
-  nu:float -> strategy:Strategy.t -> Po_model.Cp.t array ->
-  (outcome, Po_guard.Po_error.t) result
-(** {!solve_nash} through the typed error channel (see
-    {!solve_checked}). *)

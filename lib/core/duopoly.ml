@@ -96,6 +96,14 @@ let solve ?(tol = default_tol) config cps =
     psi_j = (1. -. m) *. outcome_j.Cp_game.psi;
     interior }
 
+let ensure_converged ?(context = []) eq =
+  let check isp =
+    Cp_game.ensure_converged ~context:(context @ [ ("isp", isp) ])
+  in
+  { eq with
+    outcome_i = check "i" eq.outcome_i;
+    outcome_j = check "j" eq.outcome_j }
+
 let market_share ~floor config cps =
   fst (split ~tol:default_tol ~floor (games config cps))
 

@@ -48,6 +48,12 @@ val solve : ?tol:float -> config -> Po_model.Cp.t array -> equilibrium
 (** Find the migration equilibrium.  [tol] (default [1e-6]) is on the
     market share. *)
 
+val ensure_converged :
+  ?context:(string * string) list -> equilibrium -> equilibrium
+(** Identity when both ISPs' CP-game outcomes converged; otherwise
+    {!Cp_game.ensure_converged}'s [Non_convergence], with an [isp] frame
+    naming the ISP after the caller's [context]. *)
+
 val market_share : floor:float -> config -> Po_model.Cp.t array -> float
 (** ISP I's equilibrium market share at {!solve}'s default [tol]:
     [(solve config cps).m_i] bit for bit when it is [> floor], without the

@@ -82,17 +82,6 @@ let run ?eta ?(tol = 1e-4) ?(max_steps = 500) config cps state =
   in
   loop state 0
 
-let run_checked ?eta ?tol ?max_steps config cps state =
-  Po_guard.Po_error.checked
-    (fun () -> run ?eta ?tol ?max_steps config cps state)
-    (function
-      | final, true -> final
-      | final, false ->
-          Po_guard.Po_error.fail
-            ~context:[ ("stage", "migration") ]
-            (Po_guard.Po_error.Non_convergence
-               { residual = surplus_spread final; iterations = final.time }))
-
 let run_continuous ?(dt = 0.2) ?(tol = 1e-4) ?(max_steps = 2000) config cps
     state =
   let n = Array.length state.shares in

@@ -42,16 +42,6 @@ val run :
     [max_steps] (default 500) elapse.  Returns the final state and whether
     the spread converged. *)
 
-val run_checked :
-  ?eta:float -> ?tol:float -> ?max_steps:int -> Oligopoly.config ->
-  Po_model.Cp.t array -> state ->
-  (state, Po_guard.Po_error.t) result
-(** {!run} with the convergence flag promoted into the typed error
-    channel: a spread still above tolerance after [max_steps] becomes
-    [Error] with kind [Non_convergence] carrying the residual spread and
-    the step count (DESIGN.md §10).  Per-ISP CP-game solves inside
-    {!step} already raise on [converged = false]. *)
-
 val surplus_spread : state -> float
 (** [max phis - min phis]. *)
 

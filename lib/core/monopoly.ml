@@ -40,14 +40,6 @@ let capacity_sweep ?pool ?chunk_size ~strategy ~nus cps =
         (Cp_game.solve ?init:(warm_init prev) ~nu ~strategy cps))
     nus
 
-let price_sweep_checked ?pool ?chunk_size ?kappa ~nu ~cs cps =
-  Po_guard.Po_error.capture (fun () ->
-      price_sweep ?pool ?chunk_size ?kappa ~nu ~cs cps)
-
-let capacity_sweep_checked ?pool ?chunk_size ~strategy ~nus cps =
-  Po_guard.Po_error.capture (fun () ->
-      capacity_sweep ?pool ?chunk_size ~strategy ~nus cps)
-
 let max_revenue_price cps =
   Array.fold_left (fun acc (cp : Cp.t) -> Float.max acc cp.Cp.v) 0. cps
 
@@ -106,11 +98,6 @@ let regime_outcome ~nu regime cps =
           (Strategy.make ~kappa:best.Po_num.Optimize.x1
              ~c:best.Po_num.Optimize.x2)
         cps
-
-let regime_outcome_checked ~nu regime cps =
-  Po_guard.Po_error.checked
-    (fun () -> regime_outcome ~nu regime cps)
-    (Cp_game.ensure_converged ~context:[ ("stage", "regime") ])
 
 let check_theorem4 ?(tol = 1e-6) ~nu ~c ~kappas cps =
   let revenue kappa =

@@ -38,23 +38,6 @@ val capacity_sweep :
 (** Sweep per-capita capacity at a fixed strategy with chunked warm
     starts (Fig. 5 generator); same contract as {!price_sweep}. *)
 
-val price_sweep_checked :
-  ?pool:Po_par.Pool.t -> ?chunk_size:int -> ?kappa:float -> nu:float ->
-  cs:float array -> Po_model.Cp.t array ->
-  (price_point array, Po_guard.Po_error.t) result
-(** {!price_sweep} with the typed error channel reified: the first
-    non-converged or failed CP-game solve aborts the sweep and is
-    returned as [Error] with its sweep/solver context frames
-    (DESIGN.md §10).  Both sweeps raise on [converged = false] rather
-    than silently folding a best-effort outcome into a figure. *)
-
-val capacity_sweep_checked :
-  ?pool:Po_par.Pool.t -> ?chunk_size:int -> strategy:Strategy.t ->
-  nus:float array -> Po_model.Cp.t array ->
-  (Cp_game.outcome array, Po_guard.Po_error.t) result
-(** {!capacity_sweep} through the typed error channel (see
-    {!price_sweep_checked}). *)
-
 val optimal_price :
   ?kappa:float -> ?levels:int -> ?points:int -> nu:float ->
   Po_model.Cp.t array -> price_point
@@ -76,15 +59,7 @@ val regime_outcome : nu:float -> regime -> Po_model.Cp.t array -> Cp_game.outcom
 (** Equilibrium outcome of the CP game under each regulatory regime.
     Grid probes during strategy optimisation are best-effort; the
     returned outcome itself may carry [converged = false] — use
-    {!regime_outcome_checked} to reject that case. *)
-
-val regime_outcome_checked :
-  nu:float -> regime -> Po_model.Cp.t array ->
-  (Cp_game.outcome, Po_guard.Po_error.t) result
-(** {!regime_outcome} through the typed error channel: [Error] carries
-    [Non_convergence] when the final outcome is best-effort and
-    [Invalid_scenario] for domain errors (e.g. a kappa cap outside
-    [0, 1]). *)
+    {!Cp_game.ensure_converged} to reject that case. *)
 
 val check_theorem4 :
   ?tol:float -> nu:float -> c:float -> kappas:float array ->

@@ -193,11 +193,6 @@ let solve ?pool ?(curve_points = 140) ?prices config cps =
   in
   solve_given_curves ~nu_sat ~curves ?prices config cps
 
-let solve_checked ?pool ?curve_points ?prices config cps =
-  Po_guard.Po_error.checked
-    (fun () -> solve ?pool ?curve_points ?prices config cps)
-    Fun.id
-
 (* The surplus curve of a strategy is independent of the rival profile, so
    searches over a strategy menu cache one curve per strategy. *)
 (* R2-audit (no directive needed; only find_opt/add/mem/replace): the curve cache is keyed by
@@ -302,20 +297,6 @@ let market_share_nash ?pool ?(rounds = 10) ?strategies ?(curve_points = 90)
     if not !moved then converged := true
   done;
   (!current, solve_cached !current, !converged)
-
-let market_share_nash_checked ?pool ?rounds ?strategies ?curve_points config
-    cps =
-  Po_guard.Po_error.checked
-    (fun () ->
-      market_share_nash ?pool ?rounds ?strategies ?curve_points config cps)
-    (function
-      | cfg, eq, true -> (cfg, eq)
-      | _, _, false ->
-          Po_guard.Po_error.fail
-            ~context:[ ("stage", "market_share_nash") ]
-            (Po_guard.Po_error.Non_convergence
-               { residual = Float.nan;
-                 iterations = Option.value rounds ~default:10 }))
 
 let check_lemma4 ?(tol = 5e-3) config cps =
   let s0 = config.isps.(0).strategy in

@@ -64,14 +64,6 @@ val solve :
     channel: a non-converged solve raises [Po_guard.Po_error.Error]
     with its sweep/stage context frames (DESIGN.md §10). *)
 
-val solve_checked :
-  ?pool:Po_par.Pool.t -> ?curve_points:int -> ?prices:float array -> config ->
-  Po_model.Cp.t array -> (equilibrium, Po_guard.Po_error.t) result
-(** {!solve} with the error channel reified: [Error] carries the typed
-    failure of the first non-converged inner solve, or
-    [Invalid_scenario] for domain errors (e.g. a prices length
-    mismatch). *)
-
 val best_response :
   ?pool:Po_par.Pool.t -> ?levels:int -> ?points:int -> ?curve_points:int ->
   i:int -> config -> Po_model.Cp.t array -> Strategy.t * equilibrium
@@ -87,15 +79,6 @@ val market_share_nash :
     share, or [rounds] (default 10) passes elapse.  Returns the final
     profile, its equilibrium, and whether the dynamics converged —
     a (menu-restricted) market-share Nash equilibrium per Definition 6. *)
-
-val market_share_nash_checked :
-  ?pool:Po_par.Pool.t -> ?rounds:int -> ?strategies:Strategy.t array ->
-  ?curve_points:int -> config -> Po_model.Cp.t array ->
-  (config * equilibrium, Po_guard.Po_error.t) result
-(** {!market_share_nash} with the convergence flag promoted into the
-    typed error channel: dynamics that still move after [rounds] passes
-    return [Error] with kind [Non_convergence] instead of a silently
-    unconverged profile. *)
 
 val check_lemma4 : ?tol:float -> config -> Po_model.Cp.t array -> (unit, string) result
 (** For a homogeneous-strategy config, audit that equilibrium shares equal

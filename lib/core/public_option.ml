@@ -8,6 +8,9 @@ type regime_result = {
 
 let unregulated ?(levels = 3) ?(points = 13) ~nu cps =
   let strategy, outcome = Monopoly.optimal_strategy ~levels ~points ~nu cps in
+  let outcome =
+    Cp_game.ensure_converged ~context:[ ("regime", "unregulated") ] outcome
+  in
   { label = "unregulated monopoly";
     phi = outcome.Cp_game.phi;
     psi = outcome.Cp_game.psi;
@@ -15,7 +18,10 @@ let unregulated ?(levels = 3) ?(points = 13) ~nu cps =
     market_share = None }
 
 let neutral ~nu cps =
-  let outcome = Cp_game.solve ~nu ~strategy:Strategy.public_option cps in
+  let outcome =
+    Cp_game.ensure_converged ~context:[ ("regime", "neutral") ]
+      (Cp_game.solve ~nu ~strategy:Strategy.public_option cps)
+  in
   { label = "network-neutral regulation";
     phi = outcome.Cp_game.phi;
     psi = outcome.Cp_game.psi;
@@ -30,6 +36,9 @@ let public_option ?(po_share = 0.5) ?(levels = 2) ?(points = 9) ~nu cps =
       ~strategy_i:Strategy.public_option ()
   in
   let strategy, eq = Duopoly.best_response_market_share ~levels ~points ~config:cfg cps in
+  let eq =
+    Duopoly.ensure_converged ~context:[ ("regime", "public_option") ] eq
+  in
   { label = Printf.sprintf "public option (share %g)" po_share;
     phi = eq.Duopoly.phi;
     psi = eq.Duopoly.psi_i;

@@ -52,10 +52,16 @@ let of_oligopoly cps (eq : Oligopoly.equilibrium) =
 let regime_table ?pool ?(po_share = 0.5) ?(levels = 2) ?(points = 9) ~nu cps =
   let unregulated () =
     let _, outcome = Monopoly.optimal_strategy ~levels ~points ~nu cps in
+    let outcome =
+      Cp_game.ensure_converged ~context:[ ("regime", "unregulated") ] outcome
+    in
     ("unregulated monopoly", of_outcome cps outcome)
   in
   let neutral () =
-    let outcome = Cp_game.solve ~nu ~strategy:Strategy.public_option cps in
+    let outcome =
+      Cp_game.ensure_converged ~context:[ ("regime", "neutral") ]
+        (Cp_game.solve ~nu ~strategy:Strategy.public_option cps)
+    in
     ("network-neutral regulation", of_outcome cps outcome)
   in
   let public_option () =
@@ -64,6 +70,9 @@ let regime_table ?pool ?(po_share = 0.5) ?(levels = 2) ?(points = 9) ~nu cps =
         ~strategy_i:Strategy.public_option ()
     in
     let _, eq = Duopoly.best_response_market_share ~levels ~points ~config:cfg cps in
+    let eq =
+      Duopoly.ensure_converged ~context:[ ("regime", "public_option") ] eq
+    in
     (Printf.sprintf "public option (share %g)" po_share, of_duopoly cps eq)
   in
   (* The regimes are independent solves; evaluate them as three pool

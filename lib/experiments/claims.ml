@@ -10,17 +10,6 @@ let of_result ~claim = function
   | Ok () -> { claim; passed = true; detail = "ok" }
   | Error detail -> { claim; passed = false; detail }
 
-(* A non-converged inner solve must not be silently audited as if it
-   were an equilibrium: raising solves are wrapped in
-   [ensure_converged] and result-typed companions unwrapped here, so
-   the failure travels the typed error channel with its claim frame. *)
-let checked ~claim = function
-  | Ok v -> v
-  | Error e ->
-      raise
-        (Po_guard.Po_error.Error
-           (Po_guard.Po_error.add_context [ ("claim", claim) ] e))
-
 (* The claim audits are statements about equilibria, not about scale; a
    few hundred CPs keep them fast while preserving every regime. *)
 let audit_ensemble params cap =
@@ -84,7 +73,10 @@ let theorem6 ?(params = Common.default_params) () =
            strategy = Strategy.make ~kappa:0.7 ~c:0.3 } |]
   in
   let audit = Oligopoly.theorem6_audit ~i:0 cfg cps in
-  let eq = checked ~claim:"theorem6" (Oligopoly.solve_checked cfg cps) in
+  let eq =
+    Po_guard.Po_error.with_context [ ("claim", "theorem6") ] (fun () ->
+        Oligopoly.solve cfg cps)
+  in
   let scale = Float.max eq.Oligopoly.phi_star 1e-9 in
   let slack = audit.Oligopoly.epsilon_rivals +. (0.05 *. scale) in
   let passed = audit.Oligopoly.phi_deficit <= slack in
@@ -110,9 +102,20 @@ let corollary1 ?(params = Common.default_params) () =
     Oligopoly.homogeneous ~nu:(0.5 *. sat) ~n:2
       ~strategy:Strategy.public_option ()
   in
+  (* Dynamics still moving after [rounds] passes are no equilibrium to
+     audit: they fail through the typed error channel, claim named. *)
+  let rounds = 4 in
   let nash_cfg, nash_eq =
-    checked ~claim:"corollary1"
-      (Oligopoly.market_share_nash_checked ~rounds:4 ~strategies:menu cfg cps)
+    Po_guard.Po_error.with_context [ ("claim", "corollary1") ] (fun () ->
+        (* polint: allow R8 -- the converged flag is matched right here:
+           false raises Non_convergence *)
+        match Oligopoly.market_share_nash ~rounds ~strategies:menu cfg cps with
+        | nash_cfg, nash_eq, true -> (nash_cfg, nash_eq)
+        | _, _, false ->
+            Po_guard.Po_error.fail
+              ~context:[ ("stage", "market_share_nash") ]
+              (Po_guard.Po_error.Non_convergence
+                 { residual = Float.nan; iterations = rounds }))
   in
   let phi_star = nash_eq.Oligopoly.phi_star in
   let worst = ref 0. in
@@ -125,9 +128,10 @@ let corollary1 ?(params = Common.default_params) () =
             let isps = Array.copy nash_cfg.Oligopoly.isps in
             isps.(i) <- { (isps.(i)) with Oligopoly.strategy = s };
             let eq' =
-              checked ~claim:"corollary1"
-                (Oligopoly.solve_checked ~curve_points:90
-                   { nash_cfg with Oligopoly.isps } cps)
+              Po_guard.Po_error.with_context [ ("claim", "corollary1") ]
+                (fun () ->
+                  Oligopoly.solve ~curve_points:90
+                    { nash_cfg with Oligopoly.isps } cps)
             in
             worst := Float.max !worst (eq'.Oligopoly.phi_star -. phi_star)
           end)

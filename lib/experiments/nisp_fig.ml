@@ -53,7 +53,10 @@ let generate ?(params = Common.default_params) () =
   in
   let xs = Array.map float_of_int counts in
   let neutral_phi =
-    (Cp_game.solve ~nu ~strategy:Strategy.public_option cps).Cp_game.phi
+    (Cp_game.ensure_converged
+       ~context:[ ("figure", "nisp") ]
+       (Cp_game.solve ~nu ~strategy:Strategy.public_option cps))
+      .Cp_game.phi
   in
   { Common.id = "nisp";
     title = "Equilibrium consumer surplus vs number of competing ISPs";

@@ -1,14 +1,5 @@
 open Po_model
 
-(* A solver failure at one population size must not masquerade as a
-   figure-level crash without its scale attached. *)
-let checked ~n = function
-  | Ok v -> v
-  | Error e ->
-      raise
-        (Po_guard.Po_error.Error
-           (Po_guard.Po_error.add_context [ ("n", string_of_int n) ] e))
-
 let generate ?(params = Common.default_params) () =
   (* Two decades of population growth above the configured scale, log
      spaced; quick params (120 CPs) top out at 12k, the paper's scale
@@ -28,8 +19,13 @@ let generate ?(params = Common.default_params) () =
         let fn = float_of_int n in
         Array.map
           (fun frac ->
+            (* A solver failure at one population size must not
+               masquerade as a figure-level crash without its scale
+               attached. *)
             let sol =
-              checked ~n (Equilibrium.solve_soa_checked ~nu:(frac *. sat) soa)
+              Po_guard.Po_error.with_context
+                [ ("n", string_of_int n) ]
+                (fun () -> Equilibrium.solve_soa ~nu:(frac *. sat) soa)
             in
             ( sol.Equilibrium.cap,
               sol.Equilibrium.per_capita_rate /. fn,

@@ -14,21 +14,15 @@ exception Error of t
 
 let v ?(context = []) kind = { kind; context }
 let fail ?context kind = raise (Error (v ?context kind))
-let add_context frames e = { e with context = frames @ e.context }
-
 let with_context frames f =
   try f ()
   with Error e ->
     let bt = Printexc.get_raw_backtrace () in
-    Printexc.raise_with_backtrace (Error (add_context frames e)) bt
+    Printexc.raise_with_backtrace
+      (Error { e with context = frames @ e.context })
+      bt
 
 let capture f = try Ok (f ()) with Error e -> Result.error e
-
-let checked run finish =
-  capture (fun () ->
-      match run () with
-      | x -> finish x
-      | exception Invalid_argument msg -> fail (Invalid_scenario msg))
 
 let kind_to_string = function
   | No_bracket msg -> Printf.sprintf "no bracket: %s" msg

@@ -4,9 +4,9 @@
     of {!t}: an error {!kind} plus a list of {e context frames} — ordered
     key/value pairs ("figure", "fig4"; "chunk", "3"; "cps", "1000";
     "seed", "42") attached as the error climbs out of the layer that
-    produced it.  Layers that cannot return [result] raise {!Error};
-    boundary APIs ([solve_checked], the CLI) catch it with {!capture} and
-    hand back [(_, t) result].
+    produced it.  Solvers raise {!Error}; a boundary (the CLI, the serve
+    engine) catches it once with {!capture} and hands back
+    [(_, t) result].
 
     The taxonomy is deliberately small: a failure either comes from
     root-finding ([No_bracket]), from an iteration that ran out of budget
@@ -63,9 +63,6 @@ val v : ?context:(string * string) list -> kind -> t
 val fail : ?context:(string * string) list -> kind -> 'a
 (** [fail kind] raises {!Error}. *)
 
-val add_context : (string * string) list -> t -> t
-(** Prepend frames (they describe an enclosing scope). *)
-
 val with_context : (string * string) list -> (unit -> 'a) -> 'a
 (** Run a thunk; if it raises {!Error}, re-raise with the frames
     prepended (backtrace preserved).  Every other exception passes
@@ -74,14 +71,6 @@ val with_context : (string * string) list -> (unit -> 'a) -> 'a
 val capture : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, catching {!Error} — the bridge from the raising world
     to the [result] world.  Other exceptions pass through. *)
-
-val checked : (unit -> 'a) -> ('a -> 'b) -> ('b, t) result
-(** The body of a [_checked] boundary companion: [checked run finish] is
-    [capture (fun () -> finish (run ()))], except that an
-    [Invalid_argument msg] raised by [run] — a solver's domain check —
-    becomes [Invalid_scenario msg].  One raised by [finish] passes
-    through like any other untyped exception; [finish] typically turns a
-    best-effort result into a [Non_convergence] with {!fail}. *)
 
 val kind_to_string : kind -> string
 

@@ -24,6 +24,8 @@
    - [discards]: result values dropped via [ignore], [let _ =] or a
      wildcard [Error _] match arm (R8's evidence; [Error _ as e] is
      propagation and exempt).
+   - [evidence_applied]: applications whose result carries convergence
+     evidence, a [converged] flag (R8's other evidence).
    - flags: does the node apply a span wrapper, an
      [ensure_converged]-style check, a metrics emitter?
 
@@ -63,6 +65,8 @@ type node = {
   col : int;
   mutable edges : (string * Location.t) list;
   mutable applied : (string * Location.t) list;  (* subset: application heads *)
+  mutable evidence_applied : (string * Location.t) list;
+      (* subset of [applied]: the result carries a [converged] flag *)
   mutable mutations : mutation list;
   mutable pool_calls : pool_call list;
   mutable has_span : bool;
@@ -261,7 +265,7 @@ let mutator_of name = List.assoc_opt (strip_stdlib name) mutators
 let compare_ops_any = [ "compare"; "="; "<>"; "=="; "!="; "min"; "max" ]
 let compare_ops_ref_only = [ "<"; ">"; "<="; ">=" ]
 
-(* ---------------------- float-in-type test ------------------ *)
+(* ------------------------- type tests ----------------------- *)
 
 let rec render_type b ctx ty =
   match Types.get_desc ty with
@@ -300,46 +304,82 @@ let decl_keys b ctx p =
     | Some parts -> [ join (resolve_alias b (parts @ tail)); stamped ]
     | None -> [ stamped ]
 
-let rec type_contains_float b ctx visited depth ty =
+(* Whether [hit] holds of [ty] or of a type inside it.  Abbreviations
+   are always expanded.  [deep] searches every component at any depth
+   (type arguments, tuple members, record fields, constructor
+   arguments); otherwise only the direct members of a tuple or array
+   at the top are searched.  [hit ~top p decl] sees each type
+   constructor with its declaration when one is loaded; [top] tells the
+   type asked about (or an expansion of it) from a member. *)
+let rec type_exists b ctx ~deep ~hit ~top visited depth ty =
   if depth > 24 then false
   else
     let id = Types.get_id ty in
     if List.mem id !visited then false
     else begin
       visited := id :: !visited;
+      let same = type_exists b ctx ~deep ~hit ~top visited (depth + 1) in
+      let member =
+        type_exists b ctx ~deep ~hit ~top:false visited (depth + 1)
+      in
       match Types.get_desc ty with
       | Types.Tconstr (p, args, _) ->
-          Path.same p Predef.path_float
-          || (let decl =
-                List.find_map (Hashtbl.find_opt b.b_decls) (decl_keys b ctx p)
-              in
-              match decl with
-              | Some d -> decl_contains_float b ctx visited depth d
-              | None -> false)
-          || List.exists (type_contains_float b ctx visited (depth + 1)) args
-      | Types.Ttuple tys ->
-          List.exists (type_contains_float b ctx visited (depth + 1)) tys
-      | Types.Tpoly (ty, _) ->
-          type_contains_float b ctx visited (depth + 1) ty
+          let decl =
+            List.find_map (Hashtbl.find_opt b.b_decls) (decl_keys b ctx p)
+          in
+          hit ~top p decl
+          || (match decl with
+             | Some d ->
+                 Option.fold ~none:false ~some:same d.Types.type_manifest
+                 || (deep && decl_exists member d)
+             | None -> false)
+          || (deep || (top && Path.same p Predef.path_array))
+             && List.exists member args
+      | Types.Ttuple tys -> (deep || top) && List.exists member tys
+      | Types.Tpoly (ty, _) -> same ty
       | _ -> false
     end
 
-and decl_contains_float b ctx visited depth (d : Types.type_declaration) =
-  let deeper = type_contains_float b ctx visited (depth + 1) in
-  (match d.Types.type_manifest with Some ty -> deeper ty | None -> false)
-  ||
+and decl_exists member (d : Types.type_declaration) =
   match d.Types.type_kind with
   | Types.Type_record (lds, _) ->
-      List.exists (fun ld -> deeper ld.Types.ld_type) lds
+      List.exists (fun ld -> member ld.Types.ld_type) lds
   | Types.Type_variant (cds, _) ->
       List.exists
         (fun cd ->
           match cd.Types.cd_args with
-          | Types.Cstr_tuple tys -> List.exists deeper tys
+          | Types.Cstr_tuple tys -> List.exists member tys
           | Types.Cstr_record lds ->
-              List.exists (fun ld -> deeper ld.Types.ld_type) lds)
+              List.exists (fun ld -> member ld.Types.ld_type) lds)
         cds
   | _ -> false
+
+let type_contains_float b ctx ty =
+  type_exists b ctx ~deep:true ~top:true (ref []) 0 ty
+    ~hit:(fun ~top:_ p _ -> Path.same p Predef.path_float)
+
+let is_bool ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> Path.same p Predef.path_bool
+  | _ -> false
+
+(* R8's evidence: the value is a record with a [converged : bool] field,
+   or a tuple or array with such a record or a [bool] as a direct
+   member.  Record fields are not searched, so an aggregate that holds
+   outcomes (a duopoly or oligopoly equilibrium) is no evidence itself. *)
+let carries_evidence b ctx ty =
+  type_exists b ctx ~deep:false ~top:true (ref []) 0 ty
+    ~hit:(fun ~top p decl ->
+      ((not top) && Path.same p Predef.path_bool)
+      ||
+      match decl with
+      | Some { Types.type_kind = Types.Type_record (lds, _); _ } ->
+          List.exists
+            (fun ld ->
+              String.equal (Ident.name ld.Types.ld_id) "converged"
+              && is_bool ld.Types.ld_type)
+            lds
+      | _ -> false)
 
 (* --------------------- pass 1: skeleton --------------------- *)
 
@@ -358,7 +398,8 @@ let new_node b ~file ~(loc : Location.t) id_parts =
       col =
         loc.Location.loc_start.Lexing.pos_cnum
         - loc.Location.loc_start.Lexing.pos_bol;
-      edges = []; applied = []; mutations = []; pool_calls = [];
+      edges = []; applied = []; evidence_applied = []; mutations = [];
+      pool_calls = [];
       has_span = false; has_ensure = false; metric_emits = [];
       compare_sites = []; discards = [] }
   in
@@ -494,6 +535,7 @@ and harvest_param_types b ctx id_opt (mty : Typedtree.module_type) =
 type facts = {
   mutable f_edges : (string * Location.t) list;
   mutable f_applied : (string * Location.t) list;
+  mutable f_evidence_applied : (string * Location.t) list;
   mutable f_mutations : mutation list;
   mutable f_pool_calls : pool_call list;
   mutable f_has_span : bool;
@@ -504,7 +546,8 @@ type facts = {
 }
 
 let fresh_facts () =
-  { f_edges = []; f_applied = []; f_mutations = []; f_pool_calls = [];
+  { f_edges = []; f_applied = []; f_evidence_applied = []; f_mutations = [];
+    f_pool_calls = [];
     f_has_span = false; f_has_ensure = false; f_metric_emits = [];
     f_compare_sites = []; f_discards = [] }
 
@@ -577,8 +620,7 @@ let rec scan_expr b ctx (root : Typedtree.expression) : facts =
             in
             if interesting then (
               match Types.get_desc e.exp_type with
-              | Types.Tarrow (_, t1, _, _)
-                when type_contains_float b ctx (ref []) 0 t1 ->
+              | Types.Tarrow (_, t1, _, _) when type_contains_float b ctx t1 ->
                   f.f_compare_sites <-
                     { cs_loc = e.exp_loc; op;
                       ty_rendered = render_type b ctx t1 }
@@ -590,6 +632,9 @@ let rec scan_expr b ctx (root : Typedtree.expression) : facts =
         | None -> ()
         | Some name ->
             f.f_applied <- (name, e.exp_loc) :: f.f_applied;
+            if carries_evidence b ctx e.exp_type then
+              f.f_evidence_applied <-
+                (name, e.exp_loc) :: f.f_evidence_applied;
             if is_span_wrapper name then f.f_has_span <- true;
             if is_ensure name then f.f_has_ensure <- true;
             if is_metric_emit name then
@@ -707,6 +752,7 @@ let rec scan_expr b ctx (root : Typedtree.expression) : facts =
     List.rev (List.filter (fun m -> not (in_protected m.mut_loc)) !muts_acc);
   f.f_edges <- List.rev f.f_edges;
   f.f_applied <- List.rev f.f_applied;
+  f.f_evidence_applied <- List.rev f.f_evidence_applied;
   f.f_pool_calls <- List.rev f.f_pool_calls;
   f.f_metric_emits <- List.rev f.f_metric_emits;
   f.f_compare_sites <- List.rev f.f_compare_sites;
@@ -741,6 +787,7 @@ let build (units : Cmt_loader.unit_info list) : t =
           let facts = scan_expr b ctx body in
           n.edges <- facts.f_edges;
           n.applied <- facts.f_applied;
+          n.evidence_applied <- facts.f_evidence_applied;
           n.mutations <- n.mutations @ facts.f_mutations;
           n.pool_calls <- facts.f_pool_calls;
           n.has_span <- facts.f_has_span;
@@ -791,8 +838,6 @@ let resolve_value_name t name =
   match Hashtbl.find_opt t.values name with
   | Some id -> Some id
   | None -> if Hashtbl.mem t.nodes name then Some name else None
-
-let value_exists t name = Option.is_some (resolve_value_name t name)
 
 let nodes t = List.filter_map (find t) t.order
 

@@ -9,7 +9,8 @@
     edges, each node carries the facts the typed rules (R7-R10) consume:
     shared-state mutations, pool-combinator call sites with their
     closure roots, float-instantiated polymorphic comparisons,
-    discarded results, and whether the node applies a span wrapper, an
+    discarded results, applications returning convergence evidence,
+    and whether the node applies a span wrapper, an
     [ensure_converged]-style check or a metrics emitter. *)
 
 type mutation = {
@@ -43,6 +44,11 @@ type node = {
   col : int;
   mutable edges : (string * Location.t) list;
   mutable applied : (string * Location.t) list;
+  mutable evidence_applied : (string * Location.t) list;
+      (** the applications in [applied] whose result carries convergence
+          evidence: a record with a [converged : bool] field, or a tuple
+          or array with such a record or a [bool] as a direct member —
+          the evidence of the error-discard rule *)
   mutable mutations : mutation list;
   mutable pool_calls : pool_call list;
   mutable has_span : bool;
@@ -68,10 +74,6 @@ val find : t -> string -> node option
 val resolve_value_name : t -> string -> string option
 (** Canonical value name to node id (they differ for secondary binders
     of a tuple pattern and line-qualified shadowed bindings). *)
-
-val value_exists : t -> string -> bool
-(** Whether a top-level value of that canonical name exists — the
-    [_checked]-companion test of the error-discard rule. *)
 
 val callers : t -> string -> string list
 (** Node ids holding an edge to the given node (self-edges excluded) —

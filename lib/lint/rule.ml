@@ -103,16 +103,18 @@ let catalogue =
     { id = R8; title = "no silently discarded solver failures";
       rationale =
         "The ensembles behind every figure are only trustworthy because \
-         no solver failure is swallowed (DESIGN.md section 10).  In \
-         figure/experiment code, a solver that has a _checked companion \
-         (Cp_game.solve, Cp_game.solve_nash, Equilibrium.solve, \
-         Equilibrium.solve_soa, Oligopoly.solve, Monopoly.regime_outcome, \
-         ...) must be called through it or have its outcome fed to \
-         ensure_converged; the ?budget-threaded entry points of the \
-         supervision layer (DESIGN.md section 13) keep the same _checked \
-         companions, and their Deadline_exceeded / Cancelled failures \
-         are result payloads like any other — a caller must not flatten \
-         them away.  Anywhere outside test/, a result-typed value must \
+         no solver failure is swallowed (DESIGN.md section 10).  Solvers \
+         raise typed errors; only best-effort answers carry a converged \
+         flag.  In figure/experiment/driver code, a call whose result \
+         carries that evidence (Cp_game.solve, Cp_game.solve_nash, \
+         Cp_game.outcome_of_partition, Monopoly.optimal_strategy, \
+         Monopoly.regime_outcome, Migration.run, \
+         Oligopoly.market_share_nash, ...) must have its outcome fed to \
+         ensure_converged; raising solvers such as Equilibrium.solve and \
+         Oligopoly.solve return no evidence and are never flagged.  \
+         Their Deadline_exceeded / Cancelled failures (DESIGN.md section \
+         13) travel the same typed channel.  Anywhere outside test/, a \
+         result-typed value must \
          not be dropped (sequenced away, passed to ignore, bound to _) \
          or matched with a bare 'Error _ ->' arm that forgets which \
          error occurred." };

@@ -86,16 +86,18 @@ let r7 g =
 
 (* ------------------------------ R8 ------------------------------ *)
 
-(* Discarded convergence evidence.  (a) applying a raising solver when a
-   [_checked] companion exists — exempt when the callee already runs an
-   ensure_converged-style check, or the calling node does; (b) result
-   values dropped outright ([ignore], [let _ =], wildcard [Error _]
-   arms; [Error _ as e] is propagation and was never recorded).
+(* Discarded convergence evidence.  (a) applying a function whose result
+   carries a [converged] flag (Callgraph's [evidence_applied]) — exempt
+   when the callee already runs an ensure_converged-style check, or the
+   calling node does; (b) result values dropped outright ([ignore],
+   [let _ =], wildcard [Error _] arms; [Error _ as e] is propagation and
+   was never recorded).
 
    Sub-rule (a) only watches figure/experiment/driver code: inside the
-   solver layer, calling the raising variant and threading the outcome
-   record (with its iteration/residual evidence) IS the contract, and
-   the [_checked] companions exist precisely as the boundary API. *)
+   solver layer, threading the outcome record (with its
+   iteration/residual evidence) IS the contract.  A solver that raises a
+   typed error on every failure returns no evidence and is never
+   flagged; only best-effort answers carry [converged]. *)
 let consumes_solver_results file =
   String.starts_with ~prefix:"lib/experiments/" file
   || String.starts_with ~prefix:"bin/" file
@@ -108,25 +110,21 @@ let r8 g =
         if (not n.has_ensure) && consumes_solver_results n.file then
           List.iter
             (fun (name, loc) ->
-              if Callgraph.value_exists g (name ^ "_checked") then
-                let callee_checks =
-                  match Callgraph.resolve_value_name g name with
-                  | Some id -> (
-                      match Callgraph.find g id with
-                      | Some callee -> callee.has_ensure
-                      | None -> false)
-                  | None -> false
-                in
-                if not callee_checks then
+              match
+                Option.bind (Callgraph.resolve_value_name g name)
+                  (Callgraph.find g)
+              with
+              | Some callee when not callee.has_ensure ->
                   out :=
                     diag ~node:(Some n) ~file:n.file ~loc ~rule:Rule.R8
                       (Printf.sprintf
-                         "call to %s drops its convergence evidence; use \
-                          %s_checked or wrap the outcome in \
-                          ensure_converged"
-                         name name)
-                    :: !out)
-            n.applied;
+                         "call to %s drops its convergence evidence; wrap \
+                          the outcome in ensure_converged or raise a typed \
+                          error on converged = false"
+                         name)
+                    :: !out
+              | _ -> ())
+            n.evidence_applied;
         List.iter
           (fun (d : Callgraph.discard) ->
             out :=

@@ -446,16 +446,6 @@ let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu soa =
     end
   end
 
-let solve_checked ?budget ?context ?bracket ?weights ?tol ~nu cps =
-  Po_guard.Po_error.checked
-    (fun () -> solve ?budget ?context ?bracket ?weights ?tol ~nu cps)
-    Fun.id
-
-let solve_soa_checked ?budget ?context ?bracket ?weights ?tol ~nu soa =
-  Po_guard.Po_error.checked
-    (fun () -> solve_soa ?budget ?context ?bracket ?weights ?tol ~nu soa)
-    Fun.id
-
 (* ------------------------------------------------------------------ *)
 (* Record-based reference solver (retained, DESIGN.md §9 and §12)     *)
 (* ------------------------------------------------------------------ *)

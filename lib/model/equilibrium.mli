@@ -116,21 +116,6 @@ val solve_soa :
     same option semantics, error taxonomy and observability counters as
     {!solve}. *)
 
-val solve_checked :
-  ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
-  ?weights:float array -> ?tol:float -> nu:float -> Cp.t array ->
-  (solution, Po_guard.Po_error.t) result
-(** {!solve} with the error channel reified: [Error] carries the typed
-    failure ({!solve}'s [Po_guard.Po_error.Error] payload, or
-    [Invalid_scenario] for domain errors such as bad weights). *)
-
-val solve_soa_checked :
-  ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
-  ?weights:float array -> ?tol:float -> nu:float -> Cp_soa.t ->
-  (solution, Po_guard.Po_error.t) result
-(** {!solve_soa} with the error channel reified, mirroring
-    {!solve_checked}. *)
-
 val solve_reference :
   ?weights:float array -> ?tol:float -> nu:float -> Cp.t array -> solution
 (** The retained differential-testing reference: identical segment

@@ -161,8 +161,6 @@ let parallel_safe = function
   | Request.Regimes _ | Request.Welfare _ ->
       true
 
-let raise_po (e : Po_guard.Po_error.t) = raise (Po_guard.Po_error.Error e)
-
 (* The parallel-safe dispatch: everything here touches only solve-local
    state, so pool workers may run it concurrently.  [Stats] and
    [Fig_point] are deliberately NOT handled — the daemon routes them to
@@ -174,26 +172,23 @@ let eval_safe_exn ?budget query =
   Po_obs.Metrics.incr m_evals;
   match query with
   | Request.Ping -> Json.Obj [ ("pong", Json.Bool true) ]
-  | Request.Equilibrium sc -> (
+  | Request.Equilibrium sc ->
       Po_sup.Budget.check_opt budget;
       let cps, nu = scenario_market sc in
-      match Po_model.Equilibrium.solve_checked ?budget ~nu cps with
-      | Ok sol -> solution_json ~n_cps:(Array.length cps) ~nu sol
-      | Error e -> raise_po e)
-  | Request.Surplus sc -> (
+      solution_json ~n_cps:(Array.length cps) ~nu
+        (Po_model.Equilibrium.solve ?budget ~nu cps)
+  | Request.Surplus sc ->
       Po_sup.Budget.check_opt budget;
       let cps, nu = scenario_market sc in
-      match Po_model.Equilibrium.solve_checked ?budget ~nu cps with
-      | Error e -> raise_po e
-      | Ok sol ->
-          Json.Obj
-            [ ("n_cps", Json.Number (float_of_int (Array.length cps)));
-              ("nu", Json.Number nu);
-              ("phi", Json.Number (Po_model.Surplus.consumer cps sol));
-              ("per_capita_rate",
-               Json.Number sol.Po_model.Equilibrium.per_capita_rate);
-              ("utilization",
-               Json.Number (Po_model.Surplus.utilization ~nu sol)) ])
+      let sol = Po_model.Equilibrium.solve ?budget ~nu cps in
+      Json.Obj
+        [ ("n_cps", Json.Number (float_of_int (Array.length cps)));
+          ("nu", Json.Number nu);
+          ("phi", Json.Number (Po_model.Surplus.consumer cps sol));
+          ("per_capita_rate",
+           Json.Number sol.Po_model.Equilibrium.per_capita_rate);
+          ("utilization", Json.Number (Po_model.Surplus.utilization ~nu sol))
+        ]
   | Request.Regimes { sc; po_share; levels; points } ->
       regimes_json (regimes ?budget ~sc ~po_share ~levels ~points ())
   | Request.Welfare { sc; po_share; levels; points } ->

@@ -145,12 +145,15 @@ let test_solver_site () =
       (* nu = 0.01 is deep in the congested regime for this scenario
          (fig3 sweeps it from exactly there), so the solve reaches the
          guarded path. *)
-      (match Po_model.Equilibrium.solve_checked ~nu:0.01 cps with
+      let solve () =
+        Po_error.capture (fun () -> Po_model.Equilibrium.solve ~nu:0.01 cps)
+      in
+      (match solve () with
       | Ok _ -> ()
       | Error e ->
           Alcotest.failf "disarmed solve failed: %s" (Po_error.to_string e));
       Faultinject.arm (spec ~solver:1 ());
-      match Po_model.Equilibrium.solve_checked ~nu:0.01 cps with
+      match solve () with
       | Error
           { kind = Po_error.Non_convergence _;
             context = ("injected", "solver") :: _
@@ -159,15 +162,17 @@ let test_solver_site () =
       | Error e -> Alcotest.failf "wrong error: %s" (Po_error.to_string e)
       | Ok _ -> Alcotest.fail "armed solver site did not fire")
 
-(* The CP game's typed-error twins: a spent iteration budget and a
-   domain error come back as values, and a normal call answers exactly
-   what the raising solver does. *)
-let test_cp_game_checked () =
+(* The CP game at a boundary: a spent iteration budget is a best-effort
+   outcome that [ensure_converged] under [capture] turns into a typed
+   Non_convergence, and a domain error is the raw solver's
+   [Invalid_argument]. *)
+let test_cp_game_boundary () =
   let open Po_core in
   let cps = Po_workload.Ensemble.paper_ensemble ~n:10 ~seed:3 () in
   let nu = 0.3 *. Po_workload.Ensemble.saturation_nu cps in
   let strategy = Strategy.make ~kappa:0.5 ~c:0.3 in
-  let non_convergence name = function
+  let non_convergence name solve =
+    match Po_error.capture (fun () -> Cp_game.ensure_converged (solve ())) with
     | Error { Po_error.kind = Po_error.Non_convergence _; context } -> (
         match List.assoc_opt "solver" context with
         | Some "cp_game" -> ()
@@ -175,44 +180,16 @@ let test_cp_game_checked () =
     | Error e -> Alcotest.failf "%s: wrong error: %s" name (Po_error.to_string e)
     | Ok _ -> Alcotest.failf "%s: expected Non_convergence" name
   in
-  non_convergence "solve_checked ~max_iter:0"
-    (Cp_game.solve_checked ~max_iter:0 ~nu ~strategy cps);
-  non_convergence "solve_nash_checked ~max_rounds:0"
-    (Cp_game.solve_nash_checked ~max_rounds:0 ~nu ~strategy cps);
-  let invalid name expected = function
-    | Error { Po_error.kind = Po_error.Invalid_scenario msg; _ } ->
-        Alcotest.(check string) name expected msg
-    | Error e -> Alcotest.failf "%s: wrong error: %s" name (Po_error.to_string e)
-    | Ok _ -> Alcotest.failf "%s: expected Invalid_scenario" name
-  in
-  invalid "solve_checked nu < 0" "Cp_game.solve: nu < 0"
-    (Cp_game.solve_checked ~nu:(-1.) ~strategy cps);
-  invalid "solve_nash_checked nu < 0" "Cp_game.solve_nash: nu < 0"
-    (Cp_game.solve_nash_checked ~nu:(-1.) ~strategy cps);
-  let same name (expected : Cp_game.outcome) = function
-    | Error e -> Alcotest.failf "%s: %s" name (Po_error.to_string e)
-    | Ok (got : Cp_game.outcome) ->
-        let bits (o : Cp_game.outcome) =
-          Array.map Int64.bits_of_float
-            (Array.concat
-               [ o.theta; o.rho;
-                 [| o.cap_ordinary; o.cap_premium; o.lambda_ordinary;
-                    o.lambda_premium; o.phi; o.psi |] ])
-        in
-        Alcotest.(check string)
-          (name ^ " partition")
-          (Partition.key expected.partition)
-          (Partition.key got.partition);
-        Alcotest.(check (array int64)) (name ^ " bits") (bits expected) (bits got);
-        Alcotest.(check int)
-          (name ^ " iterations")
-          expected.iterations got.iterations
-  in
-  same "solve_checked" (Cp_game.solve ~nu ~strategy cps)
-    (Cp_game.solve_checked ~nu ~strategy cps);
-  same "solve_nash_checked"
-    (Cp_game.solve_nash ~nu ~strategy cps)
-    (Cp_game.solve_nash_checked ~nu ~strategy cps)
+  non_convergence "solve ~max_iter:0" (fun () ->
+      Cp_game.solve ~max_iter:0 ~nu ~strategy cps);
+  non_convergence "solve_nash ~max_rounds:0" (fun () ->
+      Cp_game.solve_nash ~max_rounds:0 ~nu ~strategy cps);
+  Alcotest.check_raises "solve nu < 0"
+    (Invalid_argument "Cp_game.solve: nu < 0") (fun () ->
+      ignore (Cp_game.solve ~nu:(-1.) ~strategy cps));
+  Alcotest.check_raises "solve_nash nu < 0"
+    (Invalid_argument "Cp_game.solve_nash: nu < 0") (fun () ->
+      ignore (Cp_game.solve_nash ~nu:(-1.) ~strategy cps))
 
 (* ------------------------------------------------------------------ *)
 (* Hardened pool                                                      *)
@@ -489,7 +466,7 @@ let () =
           quick "spec round trip" test_spec_roundtrip;
           quick "fire semantics" test_fire_counters;
           quick "solver site" test_solver_site;
-          quick "cp game checked twins" test_cp_game_checked ] );
+          quick "cp game boundary" test_cp_game_boundary ] );
       ( "pool",
         [ quick "injected worker crash" test_injected_worker_crash;
           quick "typed error passthrough" test_typed_error_passthrough;

@@ -469,6 +469,45 @@ let test_r8_out_of_scope_layers () =
   check_rules "bench/ times raw solver calls by design" []
     (typed_lint ~file:"bench/fixbench.ml" r8_fixture)
 
+(* R8(a) keys on the evidence a call returns, not on the callee's
+   name: a [converged] record, or a tuple or array with one (or a bool)
+   as a direct member.  A solver that raises on every failure returns
+   none, and a node that runs ensure_converged stays exempt. *)
+let r8_evidence_fixture =
+  "type outcome = { converged : bool; value : float }\n\
+   type state = { shares : float array }\n\
+   type solution = { cap : float; rate : float }\n\
+   let ensure_converged o = if o.converged then o else failwith \"diverged\"\n\
+   let solve (x : float) = { converged = x > 0.; value = x }\n\
+   let run (x : float) = ({ shares = [| x |] }, x > 0.)\n\
+   let sweep xs = Array.map solve xs\n\
+   let solve_raising (x : float) =\n\
+  \  if x > 0. then { cap = x; rate = x } else failwith \"no bracket\"\n\
+   let record_figure () = (solve 1.0).value\n\
+   let pair_figure () = (fst (run 1.0)).shares\n\
+   let array_figure () = (sweep [| 1.0 |]).(0).value\n\
+   let raising_figure () = (solve_raising 1.0).cap\n\
+   let checked_figure () =\n\
+  \  (ensure_converged (solve 2.0)).value +. (fst (run 2.0)).shares.(0)\n"
+
+let test_r8_evidence () =
+  let diags =
+    typed_lint ~file:"lib/experiments/fixevidence.ml" r8_evidence_fixture
+  in
+  check_rules "only R8 fires" [ "R8" ] diags;
+  let lines =
+    List.sort Int.compare (List.map (fun d -> d.Diagnostic.line) diags)
+  in
+  Alcotest.(check (list int))
+    "flagged: the converged record, the state * bool pair, the outcome \
+     array; not the raising solver or the ensure_converged node"
+    [ 10; 11; 12 ] lines;
+  Alcotest.(check bool)
+    "the message names the fix" true
+    (List.for_all
+       (fun d -> contains ~needle:"ensure_converged" d.Diagnostic.message)
+       diags)
+
 (* R9: typed float-compare. *)
 
 let test_r9_typed_compares () =
@@ -714,7 +753,8 @@ let () =
       ( "R8",
         [ quick "raising solver and discards"
             test_r8_raising_solver_and_discards;
-          quick "out-of-scope layers" test_r8_out_of_scope_layers ] );
+          quick "out-of-scope layers" test_r8_out_of_scope_layers;
+          quick "convergence evidence" test_r8_evidence ] );
       ( "R9",
         [ quick "typed compares" test_r9_typed_compares;
           quick "supersedes R1" test_r9_supersedes_r1_in_run ] );

@@ -326,6 +326,30 @@ let test_engine_deadline_error () =
         (Some "regimes")
         (List.assoc_opt "query" e.Request.context)
 
+(* An equilibrium query whose solve fails answers one typed error line
+   carrying the query frame above the solver's own frames. *)
+let test_engine_solver_fault () =
+  let module Faultinject = Po_guard.Faultinject in
+  Faultinject.arm
+    { Faultinject.solver = Some 1; worker = None; write = None;
+      timeout = None; slow = None; flaky = None };
+  let line =
+    Fun.protect ~finally:Faultinject.disarm (fun () ->
+        Request.response_line (Engine.eval (Request.Equilibrium (sc ()))))
+  in
+  Alcotest.(check int) "one line" 1
+    (List.length (String.split_on_char '\n' (String.trim line)));
+  match Request.response_of_line line with
+  | Ok (Error e) ->
+      Alcotest.(check string) "typed code" "non_convergence" e.Request.code;
+      Alcotest.(check (list string))
+        "query frame first, then the injected solver frame"
+        [ "query=equilibrium"; "injected=solver" ]
+        (List.filteri (fun i _ -> i < 2)
+           (List.map (fun (k, v) -> k ^ "=" ^ v) e.Request.context))
+  | Ok (Ok _) -> Alcotest.fail "armed solver site did not fire"
+  | Error msg -> Alcotest.failf "unparsable answer: %s" msg
+
 let test_engine_unknown_figure () =
   match
     Engine.eval
@@ -562,6 +586,7 @@ let () =
         [ quick "bit-identical evals" test_engine_deterministic_and_bit_identical;
           quick "matches the core solve" test_engine_matches_core;
           quick "deadline error" test_engine_deadline_error;
+          quick "solver fault" test_engine_solver_fault;
           quick "unknown figure" test_engine_unknown_figure ] );
       ( "daemon",
         [ quick "end to end" test_server_end_to_end;
