@@ -347,7 +347,7 @@ let regimes_cmd =
     Printf.printf "%d CPs, nu = %.2f (%.0f%% of saturation)\n"
       out.Po_serve.Engine.n_cps out.Po_serve.Engine.nu (100. *. nu_frac);
     List.iter
-      (fun (r : Po_core.Public_option.regime_result) ->
+      (fun { Po_core.Public_option.result = r; _ } ->
         Printf.printf "  %-34s Phi = %10.4f  Psi = %10.4f%s%s\n"
           r.Po_core.Public_option.label r.Po_core.Public_option.phi
           r.Po_core.Public_option.psi
@@ -357,7 +357,7 @@ let regimes_cmd =
           (match r.Po_core.Public_option.market_share with
           | Some m -> Printf.sprintf "  m_I=%.4f" m
           | None -> ""))
-      out.Po_serve.Engine.results
+      out.Po_serve.Engine.regimes
   in
   Cmd.v
     (Cmd.info "regimes" ~doc:"Compare regulatory regimes on one market")
@@ -376,20 +376,20 @@ let welfare_cmd =
         seed = params.Po_experiments.Common.seed; nu_frac }
     in
     let out =
-      Po_serve.Engine.welfare
+      Po_serve.Engine.regimes
         ?pool:(Po_experiments.Common.pool params)
         ~sc ~po_share:0.5 ~levels:2 ~points:7 ()
     in
     Printf.printf "%d CPs, nu = %.2f (%.0f%% of saturation)\n"
-      out.Po_serve.Engine.w_n_cps out.Po_serve.Engine.w_nu (100. *. nu_frac);
+      out.Po_serve.Engine.n_cps out.Po_serve.Engine.nu (100. *. nu_frac);
     Printf.printf "%-34s %12s %12s %12s %12s\n" "regime" "consumer" "isp"
       "cp" "total";
     List.iter
-      (fun (label, w) ->
-        Printf.printf "%-34s %12.4f %12.4f %12.4f %12.4f\n" label
-          w.Po_core.Welfare.consumer w.Po_core.Welfare.isp
-          w.Po_core.Welfare.cp w.Po_core.Welfare.total)
-      out.Po_serve.Engine.rows
+      (fun { Po_core.Public_option.result; welfare = w } ->
+        Printf.printf "%-34s %12.4f %12.4f %12.4f %12.4f\n"
+          result.Po_core.Public_option.label w.Po_core.Welfare.consumer
+          w.Po_core.Welfare.isp w.Po_core.Welfare.cp w.Po_core.Welfare.total)
+      out.Po_serve.Engine.regimes
   in
   Cmd.v
     (Cmd.info "welfare"

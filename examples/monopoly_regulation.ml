@@ -40,7 +40,7 @@ let () =
      tool the paper discusses) and the Public Option. *)
   Format.printf "@.regimes at abundant capacity:@.";
   List.iter
-    (fun (r : Public_option.regime_result) ->
+    (fun { Public_option.result = r; _ } ->
       Format.printf "  %-34s Phi = %8.3f  Psi = %8.3f%s@."
         r.Public_option.label r.Public_option.phi r.Public_option.psi
         (match r.Public_option.commercial_strategy with

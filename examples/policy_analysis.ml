@@ -23,10 +23,11 @@ let () =
   Format.printf "    %-34s %10s %10s %10s %10s@." "regime" "consumer" "isp"
     "cp" "total";
   List.iter
-    (fun (label, w) ->
-      Format.printf "    %-34s %10.3f %10.3f %10.3f %10.3f@." label
-        w.Welfare.consumer w.Welfare.isp w.Welfare.cp w.Welfare.total)
-    (Welfare.regime_table ~levels:2 ~points:7 ~nu cps);
+    (fun { Public_option.result; welfare = w } ->
+      Format.printf "    %-34s %10.3f %10.3f %10.3f %10.3f@."
+        result.Public_option.label w.Welfare.consumer w.Welfare.isp
+        w.Welfare.cp w.Welfare.total)
+    (Public_option.compare_regimes ~levels:2 ~points:7 ~nu cps);
 
   (* 2. How much capacity must the Public Option control? *)
   Format.printf "@.[2] sizing the Public Option@.";

@@ -6,21 +6,19 @@ type point = {
   psi_commercial : float;
 }
 
-let sweep ?pool ?(levels = 2) ?(points = 7) ~nu ~po_shares cps =
+let sweep ?pool ~levels ~points ~nu ~po_shares cps =
   Po_par.Pool.maybe_map pool
     (fun po_share ->
       if not (po_share > 0. && po_share < 1.) then
         invalid_arg "Po_sizing.sweep: share outside (0, 1)";
-      let cfg =
-        Duopoly.config ~gamma_i:(1. -. po_share) ~nu
-          ~strategy_i:Strategy.public_option ()
-      in
-      let strategy, eq =
-        Duopoly.best_response_market_share ~levels ~points ~config:cfg cps
-      in
-      { po_share; commercial_strategy = strategy;
-        commercial_share = eq.Duopoly.m_i; phi = eq.Duopoly.phi;
-        psi_commercial = eq.Duopoly.psi_i })
+      let r = Public_option.public_option ~po_share ~levels ~points ~nu cps in
+      (* The public-option regime always reports the commercial ISP's
+         strategy and share. *)
+      { po_share;
+        commercial_strategy = Option.get r.Public_option.commercial_strategy;
+        commercial_share = Option.get r.Public_option.market_share;
+        phi = r.Public_option.phi;
+        psi_commercial = r.Public_option.psi })
     po_shares
 
 type effectiveness = {
@@ -30,9 +28,9 @@ type effectiveness = {
   minimum_effective_share : float option;
 }
 
-let effectiveness ?pool ?levels ?points ?(slack = 1e-3) ~nu ~po_shares cps =
-  let swept = sweep ?pool ?levels ?points ~nu ~po_shares cps in
-  let unregulated = Public_option.unregulated ?levels ?points ~nu cps in
+let effectiveness ?pool ?(slack = 1e-3) ~levels ~points ~nu ~po_shares cps =
+  let swept = sweep ?pool ~levels ~points ~nu ~po_shares cps in
+  let unregulated = Public_option.unregulated ~levels ~points ~nu cps in
   let neutral = Public_option.neutral ~nu cps in
   let phi_neutral = neutral.Public_option.phi in
   let minimum_effective_share =

@@ -21,11 +21,12 @@ type point = {
 }
 
 val sweep :
-  ?pool:Po_par.Pool.t -> ?levels:int -> ?points:int -> nu:float ->
+  ?pool:Po_par.Pool.t -> levels:int -> points:int -> nu:float ->
   po_shares:float array -> Po_model.Cp.t array -> point array
-(** One equilibrium per Public-Option share; [levels]/[points] control the
-    commercial ISP's best-response grid (as in
-    {!Duopoly.best_response_market_share}).  Shares are independent
+(** One {!Public_option.public_option} regime per Public-Option share
+    (so each reported equilibrium is checked for convergence);
+    [levels]/[points] control the commercial ISP's best-response grid (as
+    in {!Duopoly.best_response_market_share}).  Shares are independent
     solves, so [pool] parallelises them with bit-identical results. *)
 
 type effectiveness = {
@@ -38,7 +39,7 @@ type effectiveness = {
 }
 
 val effectiveness :
-  ?pool:Po_par.Pool.t -> ?levels:int -> ?points:int -> ?slack:float ->
+  ?pool:Po_par.Pool.t -> ?slack:float -> levels:int -> points:int ->
   nu:float -> po_shares:float array -> Po_model.Cp.t array -> effectiveness
 (** Full comparison; [slack] (default 1e-3, relative) is the tolerance on
     "beats neutral regulation". *)

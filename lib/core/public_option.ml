@@ -6,29 +6,32 @@ type regime_result = {
   market_share : float option;
 }
 
-let unregulated ?(levels = 3) ?(points = 13) ~nu cps =
+type regime = {
+  result : regime_result;
+  welfare : Welfare.t;
+}
+
+(* Each regime is solved by one function that projects the outcome it
+   reports twice: the [regime_result] and its welfare decomposition. *)
+
+let single_isp ~label ~strategy cps (outcome : Cp_game.outcome) =
+  { result =
+      { label; phi = outcome.Cp_game.phi; psi = outcome.Cp_game.psi;
+        commercial_strategy = Some strategy; market_share = None };
+    welfare = Welfare.of_outcome cps outcome }
+
+let solve_unregulated ~levels ~points ~nu cps =
   let strategy, outcome = Monopoly.optimal_strategy ~levels ~points ~nu cps in
-  let outcome =
-    Cp_game.ensure_converged ~context:[ ("regime", "unregulated") ] outcome
-  in
-  { label = "unregulated monopoly";
-    phi = outcome.Cp_game.phi;
-    psi = outcome.Cp_game.psi;
-    commercial_strategy = Some strategy;
-    market_share = None }
+  single_isp ~label:"unregulated monopoly" ~strategy cps
+    (Cp_game.ensure_converged ~context:[ ("regime", "unregulated") ] outcome)
 
-let neutral ~nu cps =
-  let outcome =
-    Cp_game.ensure_converged ~context:[ ("regime", "neutral") ]
-      (Cp_game.solve ~nu ~strategy:Strategy.public_option cps)
-  in
-  { label = "network-neutral regulation";
-    phi = outcome.Cp_game.phi;
-    psi = outcome.Cp_game.psi;
-    commercial_strategy = Some Strategy.public_option;
-    market_share = None }
+let solve_neutral ~nu cps =
+  single_isp ~label:"network-neutral regulation"
+    ~strategy:Strategy.public_option cps
+    (Cp_game.ensure_converged ~context:[ ("regime", "neutral") ]
+       (Cp_game.solve ~nu ~strategy:Strategy.public_option cps))
 
-let public_option ?(po_share = 0.5) ?(levels = 2) ?(points = 9) ~nu cps =
+let solve_public_option ~po_share ~levels ~points ~nu cps =
   if not (po_share > 0. && po_share < 1.) then
     invalid_arg "Public_option.public_option: po_share outside (0, 1)";
   let cfg =
@@ -39,16 +42,33 @@ let public_option ?(po_share = 0.5) ?(levels = 2) ?(points = 9) ~nu cps =
   let eq =
     Duopoly.ensure_converged ~context:[ ("regime", "public_option") ] eq
   in
-  { label = Printf.sprintf "public option (share %g)" po_share;
-    phi = eq.Duopoly.phi;
-    psi = eq.Duopoly.psi_i;
-    commercial_strategy = Some strategy;
-    market_share = Some eq.Duopoly.m_i }
+  { result =
+      { label = Printf.sprintf "public option (share %g)" po_share;
+        phi = eq.Duopoly.phi;
+        psi = eq.Duopoly.psi_i;
+        commercial_strategy = Some strategy;
+        market_share = Some eq.Duopoly.m_i };
+    welfare = Welfare.of_duopoly cps eq }
 
-let compare_regimes ?po_share ?levels ?points ~nu cps =
-  [ unregulated ?levels ?points ~nu cps;
-    neutral ~nu cps;
-    public_option ?po_share ?levels ?points ~nu cps ]
+let unregulated ~levels ~points ~nu cps =
+  (solve_unregulated ~levels ~points ~nu cps).result
+
+let neutral ~nu cps = (solve_neutral ~nu cps).result
+
+let public_option ?(po_share = 0.5) ~levels ~points ~nu cps =
+  (solve_public_option ~po_share ~levels ~points ~nu cps).result
+
+let compare_regimes ?pool ?budget ?(po_share = 0.5) ~levels ~points ~nu cps =
+  (* The regimes are independent solves; evaluate them as three pool
+     tasks, keeping the published order. *)
+  Array.to_list
+    (Po_par.Pool.maybe_map pool
+       (fun solve ->
+         Po_sup.Budget.check_opt budget;
+         solve ())
+       [| (fun () -> solve_unregulated ~levels ~points ~nu cps);
+          (fun () -> solve_neutral ~nu cps);
+          (fun () -> solve_public_option ~po_share ~levels ~points ~nu cps) |])
 
 let check_ordering results =
   let find prefix =

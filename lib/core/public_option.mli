@@ -30,20 +30,45 @@ type regime_result = {
   (** the commercial ISP's consumer share, when a Public Option competes *)
 }
 
-val unregulated : ?levels:int -> ?points:int -> nu:float -> Po_model.Cp.t array -> regime_result
+type regime = {
+  result : regime_result;
+  welfare : Welfare.t;
+  (** three-party decomposition of the outcome [result] reports
+      ({!Welfare.of_outcome}, or {!Welfare.of_duopoly} for the public
+      option) *)
+}
+
+val unregulated :
+  levels:int -> points:int -> nu:float -> Po_model.Cp.t array -> regime_result
+(** [levels]/[points] control the monopolist's revenue search
+    ({!Monopoly.optimal_strategy}). *)
+
 val neutral : nu:float -> Po_model.Cp.t array -> regime_result
 
 val public_option :
-  ?po_share:float -> ?levels:int -> ?points:int -> nu:float ->
+  ?po_share:float -> levels:int -> points:int -> nu:float ->
   Po_model.Cp.t array -> regime_result
 (** [po_share] (default [0.5]) is the fraction of total capacity given to
-    the Public Option ISP. *)
+    the Public Option ISP; [levels]/[points] control the commercial ISP's
+    best-response grid ({!Duopoly.best_response_market_share}). *)
 
 val compare_regimes :
-  ?po_share:float -> ?levels:int -> ?points:int -> nu:float ->
-  Po_model.Cp.t array -> regime_result list
-(** All three regimes, in the order unregulated, neutral, public option. *)
+  ?pool:Po_par.Pool.t -> ?budget:Po_sup.Budget.t -> ?po_share:float ->
+  levels:int -> points:int -> nu:float -> Po_model.Cp.t array ->
+  regime list
+(** All three regimes, in the order unregulated, neutral, public option,
+    each solved once and projected both ways.  This is the one place the
+    three regime solves are composed: the [regimes] and [welfare] queries,
+    [ponet regimes]/[ponet welfare], the welfare figure and [claims] all
+    read it.
+
+    [pool] runs the three regimes as three pool tasks; the values are
+    pool-invariant.  [budget] is checked before each regime starts — a
+    search already running is not interrupted — so an expired budget
+    raises [Deadline_exceeded] (or [Cancelled]) and never changes a
+    completed result.  Under a pool each task checks on its own worker
+    and the pool re-raises the typed error in the caller. *)
 
 val check_ordering : regime_result list -> (unit, string) result
-(** Audit the Theorem-5 ordering on the output of {!compare_regimes},
+(** Audit the Theorem-5 ordering on the [result]s of {!compare_regimes},
     allowing a small numerical slack. *)

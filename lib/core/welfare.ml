@@ -49,39 +49,6 @@ let of_oligopoly cps (eq : Oligopoly.equilibrium) =
     eq.Oligopoly.outcomes;
   !acc
 
-let regime_table ?pool ?(po_share = 0.5) ?(levels = 2) ?(points = 9) ~nu cps =
-  let unregulated () =
-    let _, outcome = Monopoly.optimal_strategy ~levels ~points ~nu cps in
-    let outcome =
-      Cp_game.ensure_converged ~context:[ ("regime", "unregulated") ] outcome
-    in
-    ("unregulated monopoly", of_outcome cps outcome)
-  in
-  let neutral () =
-    let outcome =
-      Cp_game.ensure_converged ~context:[ ("regime", "neutral") ]
-        (Cp_game.solve ~nu ~strategy:Strategy.public_option cps)
-    in
-    ("network-neutral regulation", of_outcome cps outcome)
-  in
-  let public_option () =
-    let cfg =
-      Duopoly.config ~gamma_i:(1. -. po_share) ~nu
-        ~strategy_i:Strategy.public_option ()
-    in
-    let _, eq = Duopoly.best_response_market_share ~levels ~points ~config:cfg cps in
-    let eq =
-      Duopoly.ensure_converged ~context:[ ("regime", "public_option") ] eq
-    in
-    (Printf.sprintf "public option (share %g)" po_share, of_duopoly cps eq)
-  in
-  (* The regimes are independent solves; evaluate them as three pool
-     tasks, keeping the published order. *)
-  Array.to_list
-    (Po_par.Pool.maybe_map pool
-       (fun regime -> regime ())
-       [| unregulated; neutral; public_option |])
-
 let pp fmt t =
   Format.fprintf fmt
     "@[<h>consumer %.4g + isp %.4g + cp %.4g = %.4g@]" t.consumer t.isp t.cp

@@ -12,7 +12,11 @@
     whose sum is the total per-capita welfare.  Note the ISP and CP terms
     are a pure transfer of [c * lambda_P]: total welfare equals
     [sum (phi_i + v_i) alpha_i rho_i], so differentiation affects it only
-    through the allocation. *)
+    through the allocation.
+
+    Per regulatory regime, {!Public_option.compare_regimes} carries this
+    decomposition of the very outcome it reports: who pays for each
+    regime's consumer gains. *)
 
 type t = {
   consumer : float;
@@ -35,12 +39,5 @@ val of_duopoly : Po_model.Cp.t array -> Duopoly.equilibrium -> t
 
 val of_oligopoly : Po_model.Cp.t array -> Oligopoly.equilibrium -> t
 (** Population-weighted decomposition across all ISPs. *)
-
-val regime_table :
-  ?pool:Po_par.Pool.t -> ?po_share:float -> ?levels:int -> ?points:int ->
-  nu:float -> Po_model.Cp.t array -> (string * t) list
-(** The three regulatory regimes of {!Public_option.compare_regimes} with
-    full three-party decompositions: who pays for each regime's consumer
-    gains. *)
 
 val pp : Format.formatter -> t -> unit

@@ -153,7 +153,11 @@ let regime_ordering ?(params = Common.default_params) () =
      abundant-capacity claim; at scarce capacity the paper itself notes
      price discrimination can help consumers (Sec. III-E). *)
   let nu = 0.85 *. sat in
-  let results = Public_option.compare_regimes ~nu ~levels:2 ~points:7 cps in
+  let results =
+    List.map
+      (fun r -> r.Public_option.result)
+      (Public_option.compare_regimes ~nu ~levels:2 ~points:7 cps)
+  in
   let detail =
     String.concat "; "
       (List.map

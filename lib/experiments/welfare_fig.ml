@@ -5,20 +5,23 @@ let generate ?(params = Common.default_params) () =
   let cps = Common.ensemble params in
   let sat = Po_workload.Ensemble.saturation_nu cps in
   let nu = 0.85 *. sat in
-  let table =
-    Welfare.regime_table ?pool:(Common.pool params) ~levels:2 ~points:7 ~nu
-      cps
+  let regimes =
+    Array.of_list
+      (Public_option.compare_regimes ?pool:(Common.pool params) ~levels:2
+         ~points:7 ~nu cps)
   in
   (* Encode the regimes on an index axis: 1 = unregulated, 2 = neutral,
      3 = public option. *)
-  let xs = Array.init (List.length table) (fun i -> float_of_int (i + 1)) in
-  let arr = Array.of_list table in
+  let xs = Array.mapi (fun i _ -> float_of_int (i + 1)) regimes in
   let series proj label =
     Po_report.Series.make ~label ~xs
-      ~ys:(Array.map (fun (_, w) -> proj w) arr)
+      ~ys:(Array.map (fun r -> proj r.Public_option.welfare) regimes)
   in
   let labels =
-    Array.to_list (Array.mapi (fun i (name, _) -> Printf.sprintf "x=%d: %s" (i + 1) name) arr)
+    List.mapi
+      (fun i { Public_option.result; _ } ->
+        Printf.sprintf "x=%d: %s" (i + 1) result.Public_option.label)
+      (Array.to_list regimes)
   in
   { Common.id = "welfare";
     title = "Three-party welfare decomposition per regulatory regime";

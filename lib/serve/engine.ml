@@ -14,16 +14,10 @@ module Json = Po_obs.Json
 
 let m_evals = Po_obs.Metrics.counter "serve.evals"
 
-type regimes_outcome = {
+type outcome = {
   nu : float;
   n_cps : int;
-  results : Po_core.Public_option.regime_result list;
-}
-
-type welfare_outcome = {
-  w_nu : float;
-  w_n_cps : int;
-  rows : (string * Po_core.Welfare.t) list;
+  regimes : Po_core.Public_option.regime list;
 }
 
 let scenario_market (sc : Request.scenario) =
@@ -34,32 +28,17 @@ let scenario_market (sc : Request.scenario) =
   let nu = sc.Request.nu_frac *. Po_workload.Ensemble.saturation_nu cps in
   (cps, nu)
 
-(* The three regimes in [Public_option.compare_regimes] order, with a
-   cooperative budget check between each (the regime searches have no
-   budget plumbing of their own). *)
-let regimes ?budget ~(sc : Request.scenario) ~po_share ~levels ~points () =
-  let cps, nu = scenario_market sc in
-  Po_sup.Budget.check_opt budget;
-  let unreg = Po_core.Public_option.unregulated ~levels ~points ~nu cps in
-  Po_sup.Budget.check_opt budget;
-  let neut = Po_core.Public_option.neutral ~nu cps in
-  Po_sup.Budget.check_opt budget;
-  let po =
-    Po_core.Public_option.public_option ~po_share ~levels ~points ~nu cps
-  in
-  { nu; n_cps = Array.length cps; results = [ unreg; neut; po ] }
-
 (* [pool] exists for the one-shot CLI path; the daemon always omits it —
-   a welfare solve running inside a pool worker must not re-enter the
+   a regime solve running inside a pool worker must not re-enter the
    pool (Po_par.Pool is not re-entrant). *)
-let welfare ?budget ?pool ~(sc : Request.scenario) ~po_share ~levels ~points
+let regimes ?budget ?pool ~(sc : Request.scenario) ~po_share ~levels ~points
     () =
   let cps, nu = scenario_market sc in
-  Po_sup.Budget.check_opt budget;
-  let rows =
-    Po_core.Welfare.regime_table ?pool ~po_share ~levels ~points ~nu cps
-  in
-  { w_nu = nu; w_n_cps = Array.length cps; rows }
+  { nu;
+    n_cps = Array.length cps;
+    regimes =
+      Po_core.Public_option.compare_regimes ?pool ?budget ~po_share ~levels
+        ~points ~nu cps }
 
 (* ------------------------------------------------------------------ *)
 (* JSON renderings                                                    *)
@@ -84,27 +63,33 @@ let regime_result_json (r : Po_core.Public_option.regime_result) =
        | None -> Json.Null
        | Some m -> Json.Number m) ]
 
-let regimes_json r =
+(* The two renderings of one [outcome]: the [regimes] answer reads each
+   regime's result, the [welfare] answer its decomposition. *)
+let regimes_json o =
   Json.Obj
-    [ ("n_cps", Json.Number (float_of_int r.n_cps));
-      ("nu", Json.Number r.nu);
-      ("regimes", Json.List (List.map regime_result_json r.results)) ]
+    [ ("n_cps", Json.Number (float_of_int o.n_cps));
+      ("nu", Json.Number o.nu);
+      ("regimes",
+       Json.List
+         (List.map
+            (fun r -> regime_result_json r.Po_core.Public_option.result)
+            o.regimes)) ]
 
-let welfare_json w =
+let welfare_json o =
   Json.Obj
-    [ ("n_cps", Json.Number (float_of_int w.w_n_cps));
-      ("nu", Json.Number w.w_nu);
+    [ ("n_cps", Json.Number (float_of_int o.n_cps));
+      ("nu", Json.Number o.nu);
       ("rows",
        Json.List
          (List.map
-            (fun (label, (t : Po_core.Welfare.t)) ->
+            (fun { Po_core.Public_option.result; welfare = t } ->
               Json.Obj
-                [ ("regime", Json.String label);
+                [ ("regime", Json.String result.Po_core.Public_option.label);
                   ("consumer", Json.Number t.Po_core.Welfare.consumer);
                   ("isp", Json.Number t.Po_core.Welfare.isp);
                   ("cp", Json.Number t.Po_core.Welfare.cp);
                   ("total", Json.Number t.Po_core.Welfare.total) ])
-            w.rows)) ]
+            o.regimes)) ]
 
 let solution_json ~n_cps ~nu (sol : Po_model.Equilibrium.solution) =
   Json.Obj
@@ -192,7 +177,7 @@ let eval_safe_exn ?budget query =
   | Request.Regimes { sc; po_share; levels; points } ->
       regimes_json (regimes ?budget ~sc ~po_share ~levels ~points ())
   | Request.Welfare { sc; po_share; levels; points } ->
-      welfare_json (welfare ?budget ~sc ~po_share ~levels ~points ())
+      welfare_json (regimes ?budget ~sc ~po_share ~levels ~points ())
   | Request.Stats | Request.Fig_point _ ->
       (* Unreachable from the daemon (the dispatcher routes these
          serially through [eval]); typed, not an assert, so a misuse

@@ -7,18 +7,15 @@
     rendered responses and serve them byte-identically, and [ponet
     query] answers with exactly the bytes the daemon would produce. *)
 
-type regimes_outcome = {
+type outcome = {
   nu : float;  (** per-capita capacity of the compared market *)
   n_cps : int;
-  results : Po_core.Public_option.regime_result list;
+  regimes : Po_core.Public_option.regime list;
       (** unregulated, neutral, public option — {!Po_core.Public_option.compare_regimes} order *)
 }
-
-type welfare_outcome = {
-  w_nu : float;
-  w_n_cps : int;
-  rows : (string * Po_core.Welfare.t) list;
-}
+(** One regime comparison, rendered two ways: the [regimes] query (and
+    [ponet regimes]) reads each regime's [result], the [welfare] query
+    (and [ponet welfare]) its three-party [welfare] decomposition. *)
 
 val scenario_market :
   Request.scenario -> Po_model.Cp.t array * float
@@ -28,18 +25,15 @@ val scenario_market :
     convention. *)
 
 val regimes :
-  ?budget:Po_sup.Budget.t -> sc:Request.scenario -> po_share:float ->
-  levels:int -> points:int -> unit -> regimes_outcome
-(** The paper's headline regime comparison, with cooperative budget
-    checks between the three regime solves.  The CLI's [ponet regimes]
-    table and the daemon's JSON answer are both rendered from this. *)
-
-val welfare :
   ?budget:Po_sup.Budget.t -> ?pool:Po_par.Pool.t -> sc:Request.scenario ->
-  po_share:float -> levels:int -> points:int -> unit -> welfare_outcome
-(** [pool] parallelises the underlying welfare sweeps (values are
-    pool-invariant).  The daemon always omits it: a solve running inside
-    a pool worker must not re-enter the pool. *)
+  po_share:float -> levels:int -> points:int -> unit -> outcome
+(** The paper's headline regime comparison on the request's market:
+    {!Po_core.Public_option.compare_regimes}, which checks [budget]
+    before each of the three regime solves.  Both queries ([regimes],
+    [welfare]) and both CLI tables are rendered from this.  [pool] runs
+    the three regimes in parallel (values are pool-invariant); the
+    daemon always omits it: a solve running inside a pool worker must
+    not re-enter the pool. *)
 
 val parallel_safe : Request.query -> bool
 (** Whether the query may be evaluated inside a parallel batch on the

@@ -494,7 +494,11 @@ let test_metrics_psi_curve () =
 let slow_test_regime_comparison () =
   let cps = ensemble ~n:80 137 in
   let nu = 0.85 *. saturation cps in
-  let results = Public_option.compare_regimes ~levels:2 ~points:7 ~nu cps in
+  let results =
+    List.map
+      (fun r -> r.Public_option.result)
+      (Public_option.compare_regimes ~levels:2 ~points:7 ~nu cps)
+  in
   Alcotest.(check int) "three regimes" 3 (List.length results);
   (match Public_option.check_ordering results with
   | Ok () -> ()

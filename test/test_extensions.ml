@@ -41,7 +41,8 @@ let test_sizing_rejects_bad_share () =
   let cps = ensemble 7 in
   Alcotest.check_raises "share out of range"
     (Invalid_argument "Po_sizing.sweep: share outside (0, 1)") (fun () ->
-      ignore (Po_sizing.sweep ~nu:10. ~po_shares:[| 1. |] cps))
+      ignore
+        (Po_sizing.sweep ~levels:1 ~points:5 ~nu:10. ~po_shares:[| 1. |] cps))
 
 (* ------------------------------------------------------------------ *)
 (* Welfare                                                            *)
@@ -107,16 +108,34 @@ let slow_test_welfare_duopoly_weighting () =
     (eq.Duopoly.psi_i +. eq.Duopoly.psi_j)
     w.Welfare.isp
 
-let slow_test_welfare_regime_table () =
-  let cps = ensemble ~n:60 23 in
+let test_welfare_regime_projections () =
+  (* One regime comparison carries both projections, so each welfare row
+     decomposes the very outcome its regime result reports. *)
+  let cps = ensemble ~n:25 23 in
   let nu = 0.85 *. saturation cps in
-  let table = Welfare.regime_table ~levels:1 ~points:5 ~nu cps in
-  Alcotest.(check int) "three regimes" 3 (List.length table);
+  let regimes = Public_option.compare_regimes ~levels:1 ~points:5 ~nu cps in
+  Alcotest.(check (list string)) "three rows in the published order"
+    [ "unregulated monopoly"; "network-neutral regulation";
+      "public option (share 0.5)" ]
+    (List.map (fun r -> r.Public_option.result.Public_option.label) regimes);
+  let bits = Int64.bits_of_float in
   List.iter
-    (fun (_, w) ->
-      Alcotest.(check bool) "components non-negative" true
+    (fun { Public_option.result = r; welfare = w } ->
+      let label = r.Public_option.label in
+      if String.starts_with ~prefix:"public option" label then
+        check_close
+          (1e-6 *. Float.max 1. (Float.abs r.Public_option.phi))
+          (label ^ ": consumer = Phi") r.Public_option.phi w.Welfare.consumer
+      else begin
+        (* One Cp_game.outcome feeds both projections. *)
+        Alcotest.(check int64) (label ^ ": consumer bits = Phi bits")
+          (bits r.Public_option.phi) (bits w.Welfare.consumer);
+        Alcotest.(check int64) (label ^ ": isp bits = Psi bits")
+          (bits r.Public_option.psi) (bits w.Welfare.isp)
+      end;
+      Alcotest.(check bool) (label ^ ": components non-negative") true
         (w.Welfare.consumer >= 0. && w.Welfare.isp >= 0. && w.Welfare.cp >= 0.))
-    table
+    regimes
 
 (* ------------------------------------------------------------------ *)
 (* Investment                                                         *)
@@ -368,7 +387,7 @@ let () =
           quick "transfer neutrality" test_welfare_transfer_neutrality;
           quick "arithmetic" test_welfare_arithmetic;
           slow "duopoly weighting" slow_test_welfare_duopoly_weighting;
-          slow "regime table" slow_test_welfare_regime_table ] );
+          quick "regime projections" test_welfare_regime_projections ] );
       ( "investment",
         [ slow "monopoly saturation" slow_test_investment_monopoly_saturation;
           slow "duopoly decline" slow_test_investment_duopoly_decline;

@@ -297,6 +297,7 @@ let test_engine_deterministic_and_bit_identical () =
 let test_engine_matches_core () =
   (* The engine's regime comparison is the same solve as calling the
      core directly — the CLI/daemon value-identity guarantee. *)
+  let module PO = Po_core.Public_option in
   let out =
     Engine.regimes ~sc:(sc ()) ~po_share:0.5 ~levels:2 ~points:9 ()
   in
@@ -304,27 +305,49 @@ let test_engine_matches_core () =
     Po_workload.Ensemble.paper_ensemble ~n:25 ~seed:7 ()
   in
   let nu = 0.85 *. Po_workload.Ensemble.saturation_nu cps in
-  let direct =
-    Po_core.Public_option.compare_regimes ~po_share:0.5 ~levels:2 ~points:9
-      ~nu cps
+  let direct = PO.compare_regimes ~po_share:0.5 ~levels:2 ~points:9 ~nu cps in
+  let bits = Int64.bits_of_float in
+  let strategy_bits =
+    Option.map (fun s ->
+        (bits (Po_core.Strategy.kappa s), bits (Po_core.Strategy.c s)))
   in
   List.iter2
-    (fun (a : Po_core.Public_option.regime_result)
-         (b : Po_core.Public_option.regime_result) ->
-      Alcotest.(check int64) ("phi bits: " ^ a.Po_core.Public_option.label)
-        (Int64.bits_of_float a.Po_core.Public_option.phi)
-        (Int64.bits_of_float b.Po_core.Public_option.phi))
-    out.Engine.results direct
+    (fun { PO.result = a; _ } { PO.result = b; _ } ->
+      let check_bits what x y =
+        Alcotest.(check int64) (what ^ " bits: " ^ a.PO.label) (bits x)
+          (bits y)
+      in
+      check_bits "phi" a.PO.phi b.PO.phi;
+      check_bits "psi" a.PO.psi b.PO.psi;
+      Alcotest.(check (option (pair int64 int64)))
+        ("strategy bits: " ^ a.PO.label)
+        (strategy_bits a.PO.commercial_strategy)
+        (strategy_bits b.PO.commercial_strategy);
+      Alcotest.(check (option int64))
+        ("market share bits: " ^ a.PO.label)
+        (Option.map bits a.PO.market_share)
+        (Option.map bits b.PO.market_share))
+    out.Engine.regimes direct
 
 let test_engine_deadline_error () =
-  let budget = Po_sup.Budget.start ~deadline:1e-9 () in
-  match Engine.eval ~budget regimes_query with
-  | Ok _ -> Alcotest.fail "expired budget still produced a result"
-  | Error e ->
-      Alcotest.(check string) "typed code" "deadline_exceeded" e.Request.code;
-      Alcotest.(check (option string)) "query context frame attached"
-        (Some "regimes")
-        (List.assoc_opt "query" e.Request.context)
+  (* Both regime queries read the one comparison, which checks the
+     budget before its first solve. *)
+  List.iter
+    (fun (name, query) ->
+      let budget = Po_sup.Budget.start ~deadline:1e-9 () in
+      match Engine.eval ~budget query with
+      | Ok _ -> Alcotest.failf "%s: expired budget still produced a result" name
+      | Error e ->
+          Alcotest.(check string) (name ^ ": typed code") "deadline_exceeded"
+            e.Request.code;
+          Alcotest.(check (option string))
+            (name ^ ": query context frame attached")
+            (Some name)
+            (List.assoc_opt "query" e.Request.context))
+    [ ("regimes", regimes_query);
+      ("welfare",
+       Request.Welfare { sc = sc (); po_share = 0.5; levels = 2; points = 9 })
+    ]
 
 (* An equilibrium query whose solve fails answers one typed error line
    carrying the query frame above the solver's own frames. *)
