@@ -323,26 +323,29 @@ let claims_cmd =
 let regimes_cmd =
   let nu_frac =
     Arg.(
-      value & opt float 0.85
+      value
+      & opt float Po_serve.Request.default_scenario.Po_serve.Request.nu_frac
       & info [ "capacity" ] ~docv:"FRAC"
           ~doc:"Per-capita capacity as a fraction of saturation.")
   in
   let po_share =
     Arg.(
-      value & opt float 0.5
+      value & opt float Po_serve.Request.default_po_share
       & info [ "po-share" ] ~docv:"S"
           ~doc:"Capacity share carved out for the Public Option ISP.")
   in
   (* The solve goes through [Po_serve.Engine] — the same code path the
-     daemon batches — so this table and a daemon [regimes] answer can
-     never disagree. *)
+     daemon batches — at the query defaults, so this table and a daemon
+     [regimes] answer can never disagree. *)
   let run params nu_frac po_share =
     let sc =
       { Po_serve.Request.n_cps = params.Po_experiments.Common.n_cps;
         seed = params.Po_experiments.Common.seed; nu_frac }
     in
     let out =
-      Po_serve.Engine.regimes ~sc ~po_share ~levels:2 ~points:9 ()
+      Po_serve.Engine.regimes ~sc ~po_share
+        ~levels:Po_serve.Request.default_levels
+        ~points:Po_serve.Request.default_points ()
     in
     Printf.printf "%d CPs, nu = %.2f (%.0f%% of saturation)\n"
       out.Po_serve.Engine.n_cps out.Po_serve.Engine.nu (100. *. nu_frac);
@@ -366,10 +369,13 @@ let regimes_cmd =
 let welfare_cmd =
   let nu_frac =
     Arg.(
-      value & opt float 0.85
+      value
+      & opt float Po_serve.Request.default_scenario.Po_serve.Request.nu_frac
       & info [ "capacity" ] ~docv:"FRAC"
           ~doc:"Per-capita capacity as a fraction of saturation.")
   in
+  (* The regime search of a daemon [welfare] answer: its defaults, so
+     the two print the same decomposition. *)
   let run params nu_frac =
     let sc =
       { Po_serve.Request.n_cps = params.Po_experiments.Common.n_cps;
@@ -378,7 +384,9 @@ let welfare_cmd =
     let out =
       Po_serve.Engine.regimes
         ?pool:(Po_experiments.Common.pool params)
-        ~sc ~po_share:0.5 ~levels:2 ~points:7 ()
+        ~sc ~po_share:Po_serve.Request.default_po_share
+        ~levels:Po_serve.Request.default_levels
+        ~points:Po_serve.Request.default_points ()
     in
     Printf.printf "%d CPs, nu = %.2f (%.0f%% of saturation)\n"
       out.Po_serve.Engine.n_cps out.Po_serve.Engine.nu (100. *. nu_frac);

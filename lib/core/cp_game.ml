@@ -78,9 +78,13 @@ let class_capacities ~nu ~strategy =
 
 (* One engine lives for the duration of one equilibrium search.  It owns
 
-   - the equilibrium kernel behind every class re-solve: the optimized
-     {!Equilibrium.solve}, or the retained {!Equilibrium.solve_reference}
-     for differential testing (which ignores bracket hints),
+   - the equilibrium kernels: class re-solves by member index go to
+     {!Equilibrium.solve_subset} on the population's market, solo and
+     ex-post solves to {!Equilibrium.solve}; the reference engine sends
+     both to the retained {!Equilibrium.solve_reference} for differential
+     testing (which ignores bracket hints and the market),
+   - the market's cached saturated rates, which an occupied class whose
+     level saturates a CP hands to that CP's entrant estimate,
    - a partition-keyed memo of class solutions — the phases of the
      search revisit partitions (cycle iterates, the finishing
      [outcome_of_partition], quiescent passes), and a class re-solve is
@@ -93,14 +97,19 @@ let class_capacities ~nu ~strategy =
      so the next re-solve starts from a one-sided interval around the
      previous level.
 
-   All four are bit-transparent: caches replay pure results, and bracket
-   hints cannot change {!Equilibrium.solve}'s output (see equilibrium.mli),
+   All of these are bit-transparent: caches replay pure results, and
+   bracket hints cannot change {!Equilibrium.solve}'s output (see
+   equilibrium.mli),
    so an engine with everything enabled matches the reference engine bit
    for bit — test/test_perf_kernel.ml holds it to that. *)
 type engine = {
+  class_kernel :
+    bracket:(float * float) option -> nu:float -> int array ->
+    Equilibrium.solution;
   kernel :
     bracket:(float * float) option -> nu:float -> Cp.t array ->
     Equilibrium.solution;
+  saturated_rho : (int -> float) option;
   (* R2-audit (no directive needed; only find_opt/add/mem/replace): all three engine tables are pure memos
      used through find_opt/replace only, never iterated, so Hashtbl order
      cannot reach any result. *)
@@ -112,37 +121,44 @@ type engine = {
   mutable hint_p : (float * float) option;
 }
 
-let optimized_engine () =
-  { kernel = (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps);
+let optimized_engine market =
+  { class_kernel =
+      (fun ~bracket ~nu members ->
+        Equilibrium.solve_subset ?bracket ~nu market members);
+    kernel = (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps);
+    saturated_rho = Some (Equilibrium.saturated_rho market);
     class_memo = Some (Hashtbl.create 64);
     solo_o = Some (Hashtbl.create 64);
     solo_p = Some (Hashtbl.create 64);
     hint_o = None; hint_p = None }
 
-let reference_engine () =
-  { kernel = (fun ~bracket:_ ~nu cps -> Equilibrium.solve_reference ~nu cps);
-    class_memo = None; solo_o = None; solo_p = None;
-    hint_o = None; hint_p = None }
+let reference_engine cps =
+  let kernel ~bracket:_ ~nu cps = Equilibrium.solve_reference ~nu cps in
+  { class_kernel =
+      (fun ~bracket ~nu members ->
+        kernel ~bracket ~nu (Array.map (Array.get cps) members));
+    kernel; saturated_rho = None; class_memo = None; solo_o = None;
+    solo_p = None; hint_o = None; hint_p = None }
 
 let class_solution_eng eng ~premium ~nu_class members =
   if Float.equal nu_class 0. then zero_class_solution (Array.length members)
   else begin
     let bracket = if premium then eng.hint_p else eng.hint_o in
     if premium then eng.hint_p <- None else eng.hint_o <- None;
-    eng.kernel ~bracket ~nu:nu_class members
+    eng.class_kernel ~bracket ~nu:nu_class members
   end
 
 (* Both class solutions at a partition, memoised on the membership key
    (with a fixed population the key pins both member sets). *)
-let class_solutions eng ~nu_o ~nu_p cps partition =
+let class_solutions eng ~nu_o ~nu_p partition =
   let compute () =
     let sol_o =
       class_solution_eng eng ~premium:false ~nu_class:nu_o
-        (Partition.ordinary_members partition cps)
+        (Partition.ordinary_indices partition)
     in
     let sol_p =
       class_solution_eng eng ~premium:true ~nu_class:nu_p
-        (Partition.premium_members partition cps)
+        (Partition.premium_indices partition)
     in
     (sol_o, sol_p)
   in
@@ -204,9 +220,15 @@ let solo_rho eng ~premium ~nu_class (cp : Cp.t) =
           Hashtbl.replace memo cp.Cp.id rho;
           rho)
 
-let estimate_rho eng ~premium ~nu_class ~occupied cap cp =
+(* A level at or above the CP's theta_hat saturates it: [rho_at_cap]
+   then evaluates its demand at theta_hat, which the market has cached
+   under its population index [i]. *)
+let estimate_rho eng ~premium ~nu_class ~occupied cap i (cp : Cp.t) =
   if Float.equal nu_class 0. then 0.
-  else if occupied then rho_at_cap cp cap
+  else if occupied then
+    match eng.saturated_rho with
+    | Some saturated when cap >= cp.Cp.theta_hat -> saturated i
+    | Some _ | None -> rho_at_cap cp cap
   else solo_rho eng ~premium ~nu_class cp
 
 let outcome_of_partition_eng eng ~nu ~strategy cps partition =
@@ -215,7 +237,7 @@ let outcome_of_partition_eng eng ~nu ~strategy cps partition =
   if Partition.size partition <> n then
     invalid_arg "Cp_game.outcome_of_partition: partition size mismatch";
   let nu_o, nu_p = class_capacities ~nu ~strategy in
-  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps partition in
+  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p partition in
   let ordinary = Partition.ordinary_members partition cps in
   let premium = Partition.premium_members partition cps in
   let theta = Array.make n 0. and rho = Array.make n 0. in
@@ -240,7 +262,9 @@ let outcome_of_partition_eng eng ~nu ~strategy cps partition =
     iterations = 0; concept = Competitive 0. }
 
 let outcome_of_partition ~nu ~strategy cps partition =
-  outcome_of_partition_eng (optimized_engine ()) ~nu ~strategy cps partition
+  outcome_of_partition_eng
+    (optimized_engine (Equilibrium.market cps))
+    ~nu ~strategy cps partition
 
 (* One simultaneous best-response round: every CP re-decides against the
    current water levels.  Returns the new membership vector. *)
@@ -248,23 +272,23 @@ let simultaneous_round eng ~nu ~strategy cps partition =
   Po_obs.Metrics.incr m_sync_rounds;
   let nu_o, nu_p = class_capacities ~nu ~strategy in
   let c = Strategy.c strategy in
-  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps partition in
+  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p partition in
   let cap_o = entrant_cap ~nu_class:nu_o sol_o in
   let cap_p = entrant_cap ~nu_class:nu_p sol_p in
   let occupied_o = Partition.ordinary_count partition > 0 in
   let occupied_p = Partition.premium_count partition > 0 in
   Partition.of_premium_indicator
-    (Array.map
-       (fun (cp : Cp.t) ->
+    (Array.mapi
+       (fun i (cp : Cp.t) ->
          let u_ordinary =
            cp.Cp.v
            *. estimate_rho eng ~premium:false ~nu_class:nu_o
-                ~occupied:occupied_o cap_o cp
+                ~occupied:occupied_o cap_o i cp
          in
          let u_premium =
            (cp.Cp.v -. c)
            *. estimate_rho eng ~premium:true ~nu_class:nu_p
-                ~occupied:occupied_p cap_p cp
+                ~occupied:occupied_p cap_p i cp
          in
          u_premium > u_ordinary)
        cps)
@@ -296,7 +320,7 @@ let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy cps partition =
     match !caps with
     | Some pair -> pair
     | None ->
-        let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps !current in
+        let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p !current in
         let pair =
           (entrant_cap ~nu_class:nu_o sol_o, entrant_cap ~nu_class:nu_p sol_p)
         in
@@ -312,12 +336,12 @@ let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy cps partition =
     let u_ordinary =
       v
       *. estimate_rho eng ~premium:false ~nu_class:nu_o ~occupied:occupied_o
-           cap_o cp
+           cap_o i cp
     in
     let u_premium =
       (v -. c)
       *. estimate_rho eng ~premium:true ~nu_class:nu_p ~occupied:occupied_p
-           cap_p cp
+           cap_p i cp
     in
     let in_premium = Partition.in_premium !current i in
     let margin u = Float.abs u *. hysteresis in
@@ -420,7 +444,7 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy cps =
       | None ->
           let ordinary = Partition.ordinary_members !current cps in
           let premium = Partition.premium_members !current cps in
-          let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p cps !current in
+          let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p !current in
           let s = (ordinary, premium, sol_o, sol_p, class_positions !current) in
           state := Some s;
           s
@@ -472,8 +496,9 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy cps =
   loop init 0
 
 let solve_nash ?budget ?init ?max_rounds ~nu ~strategy cps =
-  solve_nash_eng (optimized_engine ()) ?budget ?init ?max_rounds ~nu ~strategy
-    cps
+  solve_nash_eng
+    (optimized_engine (Equilibrium.market cps))
+    ?budget ?init ?max_rounds ~nu ~strategy cps
 
 let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
   if nu < 0. then invalid_arg "Cp_game.solve: nu < 0";
@@ -574,14 +599,18 @@ let solve_eng eng ?budget ?init ?(max_iter = 200) ~nu ~strategy cps =
   in
   sync init None 0
 
+let solve_market ?budget ?init ?max_iter ~nu ~strategy market =
+  solve_eng (optimized_engine market) ?budget ?init ?max_iter ~nu ~strategy
+    (Equilibrium.market_cps market)
+
 let solve ?budget ?init ?max_iter ~nu ~strategy cps =
-  solve_eng (optimized_engine ()) ?budget ?init ?max_iter ~nu ~strategy cps
+  solve_market ?budget ?init ?max_iter ~nu ~strategy (Equilibrium.market cps)
 
 let solve_reference ?init ?max_iter ~nu ~strategy cps =
-  solve_eng (reference_engine ()) ?init ?max_iter ~nu ~strategy cps
+  solve_eng (reference_engine cps) ?init ?max_iter ~nu ~strategy cps
 
 let solve_nash_reference ?init ?max_rounds ~nu ~strategy cps =
-  solve_nash_eng (reference_engine ()) ?init ?max_rounds ~nu ~strategy cps
+  solve_nash_eng (reference_engine cps) ?init ?max_rounds ~nu ~strategy cps
 
 (* ------------------------------------------------------------------ *)
 (* Typed error channel (DESIGN.md §10)                                *)
@@ -625,7 +654,7 @@ let check_competitive ?(tol = 1e-9) ?(rel_tol = 0.) ~nu ~strategy cps
   let cap_p = entrant_cap ~nu_class:nu_p sol_p in
   let occupied_o = Partition.ordinary_count partition > 0 in
   let occupied_p = Partition.premium_count partition > 0 in
-  let eng = reference_engine () in
+  let eng = reference_engine cps in
   let n = Array.length cps in
   let rec scan i =
     if i >= n then Ok ()
@@ -634,12 +663,12 @@ let check_competitive ?(tol = 1e-9) ?(rel_tol = 0.) ~nu ~strategy cps
       let u_ordinary =
         cp.Cp.v
         *. estimate_rho eng ~premium:false ~nu_class:nu_o ~occupied:occupied_o
-             cap_o cp
+             cap_o i cp
       in
       let u_premium =
         (cp.Cp.v -. c)
         *. estimate_rho eng ~premium:true ~nu_class:nu_p ~occupied:occupied_p
-             cap_p cp
+             cap_p i cp
       in
       (* Ties (within the slack) are acceptable in either class; only a
          clear preference for the other class is a violation. *)
@@ -670,7 +699,7 @@ let check_nash ?(tol = 1e-9) ~nu ~strategy cps partition =
   let sol_o = class_solution ~nu_class:nu_o ordinary in
   let sol_p = class_solution ~nu_class:nu_p premium in
   let positions = class_positions partition in
-  let eng = reference_engine () in
+  let eng = reference_engine cps in
   let n = Array.length cps in
   let rec scan i =
     if i >= n then Ok ()

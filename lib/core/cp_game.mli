@@ -89,9 +89,12 @@ val solve :
     solutions by partition key, memoises solo-entrant equilibria by CP id,
     and warm-starts every class re-solve after a single-CP move from a
     one-sided bracket around the previous water level (the level moves
-    monotonically when one CP enters or leaves; DESIGN.md §9).  All of
-    these are bit-transparent, so {!solve} agrees with {!solve_reference}
-    bit for bit.
+    monotonically when one CP enters or leaves; DESIGN.md §9).  Class
+    re-solves pass member indices to {!Po_model.Equilibrium.solve_subset}
+    on the population's market, and an entrant estimate at a level that
+    saturates the CP reads the market's cached rate (DESIGN.md §16).  All
+    of these are bit-transparent, so {!solve} agrees with
+    {!solve_reference} bit for bit.
 
     [budget] is a [Po_sup.Budget] deadline/cancellation token
     (DESIGN.md §13), checked cooperatively at the start of every
@@ -99,6 +102,15 @@ val solve :
     expiry the search raises a typed [Deadline_exceeded] (or
     [Cancelled]) stamped with the solver frames rather than hanging.
     A budget never changes the outcome of a search that completes. *)
+
+val solve_market :
+  ?budget:Po_sup.Budget.t -> ?init:Partition.t -> ?max_iter:int ->
+  nu:float -> strategy:Strategy.t -> Po_model.Equilibrium.market -> outcome
+(** {!solve} on the market's population.  [solve ... cps] is
+    [solve_market ... (Equilibrium.market cps)]: the engine's class
+    re-solves read the market (DESIGN.md §16), so a search that solves
+    many games on one population builds it once and passes it to each.
+    Bit-identical to {!solve} on [Equilibrium.market_cps market]. *)
 
 val solve_reference :
   ?init:Partition.t -> ?max_iter:int -> nu:float -> strategy:Strategy.t ->

@@ -38,14 +38,14 @@ let isp_nu ~nu ~gamma ~nu_sat m =
 
 (* The two ISPs' CP games at a split [m], each warm-started from its own
    previous call's partition: the evaluation chain of one migration
-   solve. *)
-let games config cps =
-  let nu_sat = unconstrained_nu cps in
+   solve.  Both ISPs serve the one population of [market]. *)
+let games config market =
+  let nu_sat = unconstrained_nu (Equilibrium.market_cps market) in
   let game ~gamma ~strategy =
     let warm = ref None in
     fun m ->
       let nu = isp_nu ~nu:config.nu ~gamma ~nu_sat m in
-      let o = Cp_game.solve ?init:!warm ~nu ~strategy cps in
+      let o = Cp_game.solve_market ?init:!warm ~nu ~strategy market in
       warm := Some o.Cp_game.partition;
       (nu, o)
   in
@@ -84,8 +84,8 @@ let split ~tol ~floor (eval_i, eval_j) =
 
 let default_tol = 1e-6
 
-let solve ?(tol = default_tol) config cps =
-  let ((eval_i, eval_j) as games) = games config cps in
+let solve_market ?(tol = default_tol) config market =
+  let ((eval_i, eval_j) as games) = games config market in
   let m, interior = split ~tol ~floor:neg_infinity games in
   let nu_i, outcome_i = eval_i m in
   let nu_j, outcome_j = eval_j m in
@@ -96,6 +96,8 @@ let solve ?(tol = default_tol) config cps =
     psi_j = (1. -. m) *. outcome_j.Cp_game.psi;
     interior }
 
+let solve ?tol config cps = solve_market ?tol config (Equilibrium.market cps)
+
 let ensure_converged ?(context = []) eq =
   let check isp =
     Cp_game.ensure_converged ~context:(context @ [ ("isp", isp) ])
@@ -104,51 +106,57 @@ let ensure_converged ?(context = []) eq =
     outcome_i = check "i" eq.outcome_i;
     outcome_j = check "j" eq.outcome_j }
 
+let share_market ~floor config market =
+  fst (split ~tol:default_tol ~floor (games config market))
+
 let market_share ~floor config cps =
-  fst (split ~tol:default_tol ~floor (games config cps))
+  share_market ~floor config (Equilibrium.market cps)
 
 (* Each sweep point is an independent [solve] (the warm-start refs above
    live inside a single solve), so the points can be evaluated on a pool
-   in any order without changing a single bit of the result. *)
+   in any order without changing a single bit of the result; the market
+   they share is immutable. *)
 let price_sweep ?pool ?(kappa_i = 1.) ~config:cfg ~cs cps =
+  let market = Equilibrium.market cps in
   Po_par.Pool.maybe_map pool
     (fun c ->
       let cfg = { cfg with strategy_i = Strategy.make ~kappa:kappa_i ~c } in
-      solve cfg cps)
+      solve_market cfg market)
     cs
 
 let capacity_sweep ?pool ~config:cfg ~nus cps =
-  Po_par.Pool.maybe_map pool (fun nu -> solve { cfg with nu } cps) nus
+  let market = Equilibrium.market cps in
+  Po_par.Pool.maybe_map pool (fun nu -> solve_market { cfg with nu } market) nus
 
 let max_revenue_price cps =
   Array.fold_left (fun acc (cp : Cp.t) -> Float.max acc cp.Cp.v) 0. cps
 
-(* The grid search over ISP I's strategy square.  [value ~floor cfg]
-   scores the configuration with [strategy_i] in place, under the floor
-   contract of [Po_num.Optimize.refine_grid_max2_floor]; only the winning
-   strategy gets a full [solve]. *)
+(* The grid search over ISP I's strategy square, on one market.
+   [value ~floor cfg market] scores the configuration with [strategy_i]
+   in place, under the floor contract of
+   [Po_num.Optimize.refine_grid_max2_floor]; only the winning strategy
+   gets a full [solve]. *)
 let best_response ~value ?(levels = 2) ?(points = 9) ~config:cfg cps =
+  let market = Equilibrium.market cps in
   let hi_c = Float.max (max_revenue_price cps) 1e-9 in
   let with_strategy strategy_i = { cfg with strategy_i } in
   let best =
     Po_num.Optimize.refine_grid_max2_floor ~levels ~points
       ~f:(fun ~floor kappa c ->
-        value ~floor (with_strategy (Strategy.make ~kappa ~c)))
+        value ~floor (with_strategy (Strategy.make ~kappa ~c)) market)
       ~lo1:0. ~hi1:1. ~lo2:0. ~hi2:hi_c ()
   in
   let strategy =
     Strategy.make ~kappa:best.Po_num.Optimize.x1 ~c:best.Po_num.Optimize.x2
   in
-  (strategy, solve (with_strategy strategy) cps)
+  (strategy, solve_market (with_strategy strategy) market)
 
 let best_response_market_share ?levels ?points ~config cps =
-  best_response
-    ~value:(fun ~floor cfg -> market_share ~floor cfg cps)
-    ?levels ?points ~config cps
+  best_response ~value:share_market ?levels ?points ~config cps
 
 let best_response_consumer_surplus ?levels ?points ~config cps =
   best_response
-    ~value:(fun ~floor:_ cfg -> (solve cfg cps).phi)
+    ~value:(fun ~floor:_ cfg market -> (solve_market cfg market).phi)
     ?levels ?points ~config cps
 
 let check_theorem5 ?(tol = 1e-3) ?strategies ~config:cfg cps =
@@ -163,10 +171,11 @@ let check_theorem5 ?(tol = 1e-3) ?strategies ~config:cfg cps =
   in
   if not (Strategy.is_public_option cfg.strategy_j) then
     invalid_arg "Duopoly.check_theorem5: ISP J must be the Public Option";
+  let market = Equilibrium.market cps in
   let results =
     Array.map
       (fun s ->
-        let eq = solve { cfg with strategy_i = s } cps in
+        let eq = solve_market { cfg with strategy_i = s } market in
         (s, eq.m_i, eq.phi))
       strategies
   in

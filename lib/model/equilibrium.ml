@@ -157,27 +157,32 @@ let tail_term ctx s cap =
   let d = demand_value ctx.s_demand s (theta /. th) in
   ctx.s_alpha.(s) *. (d *. theta)
 
-let build_context ~n ~alpha ~theta_hat ~weights ~demand =
-  let keys = Array.init n (fun i -> theta_hat i /. weights.(i)) in
-  let order = sort_order keys in
-  let s_alpha = Array.map (fun i -> alpha i) order in
-  let s_theta_hat = Array.map (fun i -> theta_hat i) order in
-  let s_weights = Array.map (fun i -> weights.(i)) order in
-  let thresholds = Array.map (fun i -> keys.(i)) order in
-  let s_demand = demand order in
+(* The context over the CPs [order] lists, in that order: the columns
+   are read through [key], [alpha], [theta_hat] and [weight] (all by
+   population index), [demand order] picks the demand column, and [sat]
+   gives the saturated terms of the assembled context. *)
+let context_of_order order ~key ~alpha ~theta_hat ~weight ~demand ~sat =
   let ctx_no_sat =
-    { thresholds; sat = [||]; sat_prefix = [||]; s_alpha; s_theta_hat;
-      s_weights; s_demand }
+    { thresholds = Array.map key order; sat = [||]; sat_prefix = [||];
+      s_alpha = Array.map alpha order; s_theta_hat = Array.map theta_hat order;
+      s_weights = Array.map weight order; s_demand = demand order }
   in
-  (* Saturated contribution = the tail term at an infinite water level
-     (theta pinned to theta_hat), exactly the record path's
-     [Cp.lambda_per_capita cp ~theta:theta_hat]. *)
-  let sat = Array.init n (fun s -> tail_term ctx_no_sat s Float.infinity) in
+  let sat = sat ctx_no_sat in
+  let n = Array.length order in
   let sat_prefix = Array.make (n + 1) 0. in
   for s = 0 to n - 1 do
     sat_prefix.(s + 1) <- sat_prefix.(s) +. sat.(s)
   done;
   { ctx_no_sat with sat; sat_prefix }
+
+let build_context ~n ~alpha ~theta_hat ~weights ~demand =
+  let keys = Array.init n (fun i -> theta_hat i /. weights.(i)) in
+  (* Saturated contribution = the tail term at an infinite water level
+     (theta pinned to theta_hat), exactly the record path's
+     [Cp.lambda_per_capita cp ~theta:theta_hat]. *)
+  context_of_order (sort_order keys) ~key:(Array.get keys) ~alpha ~theta_hat
+    ~weight:(Array.get weights) ~demand
+    ~sat:(fun ctx -> Array.init n (fun s -> tail_term ctx s Float.infinity))
 
 let context ?weights cps =
   let n = Array.length cps in
@@ -378,7 +383,16 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
            iterations = outcome.Po_num.Roots.iterations });
   outcome.Po_num.Roots.root
 
-let solve ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu cps =
+(* The congested solve on a sorted-prefix context: every column front
+   end ([solve], [solve_soa], [solve_subset]) goes through here. *)
+let solve_context ?budget ~context ~bracket ~tol ~nu ~n () =
+  solve_congested ?budget ~thresholds:context.thresholds
+    ~aggregate:(fun ~cap -> aggregate_sorted context ~cap)
+    ~bracket ~tol ~nu ~n ()
+
+let default_tol = 1e-12
+
+let solve ?budget ?context:ctx ?bracket ?weights ?(tol = default_tol) ~nu cps =
   if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
   let n = Array.length cps in
   if n = 0 then empty
@@ -399,17 +413,16 @@ let solve ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu cps =
       of_cap cps weights ~congested:false Float.infinity
     end
     else begin
-      let ctx = match ctx with Some c -> c | None -> context ~weights cps in
-      let cap =
-        solve_congested ?budget ~thresholds:ctx.thresholds
-          ~aggregate:(fun ~cap -> aggregate_sorted ctx ~cap)
-          ~bracket ~tol ~nu ~n ()
+      let context =
+        match ctx with Some c -> c | None -> context ~weights cps
       in
-      of_cap cps weights ~congested:true cap
+      of_cap cps weights ~congested:true
+        (solve_context ?budget ~context ~bracket ~tol ~nu ~n ())
     end
   end
 
-let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu soa =
+let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = default_tol) ~nu
+    soa =
   if nu < 0. then invalid_arg "Equilibrium.solve_soa: nu < 0";
   let n = Cp_soa.length soa in
   if n = 0 then empty
@@ -434,16 +447,139 @@ let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = 1e-12) ~nu soa =
       of_cap_soa soa weights ~congested:false Float.infinity
     end
     else begin
-      let ctx =
+      let context =
         match ctx with Some c -> c | None -> context_soa ~weights soa
       in
-      let cap =
-        solve_congested ?budget ~thresholds:ctx.thresholds
-          ~aggregate:(fun ~cap -> aggregate_sorted ctx ~cap)
-          ~bracket ~tol ~nu ~n ()
-      in
-      of_cap_soa soa weights ~congested:true cap
+      of_cap_soa soa weights ~congested:true
+        (solve_context ?budget ~context ~bracket ~tol ~nu ~n ())
     end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Market context: one population, many class solves (DESIGN.md §16)  *)
+(* ------------------------------------------------------------------ *)
+
+(* A CP game re-solves its two classes thousands of times, and every
+   class is a subset of one fixed population.  The market holds what a
+   class solve would otherwise recompute per member on every call: the
+   population's (theta_hat, index) order and each CP's saturated values.
+   All unit weights, so a threshold is theta_hat itself
+   ([theta_hat /. 1.] and [1. *. cap] are exact).
+
+   Immutable once built: one market is shared by every solve of a search
+   and, through the pools, by several domains at once, so
+   [subset_context] allocates its scratch per call. *)
+type market = {
+  cps : Cp.t array;
+  order : int array;  (* population indices by (theta_hat, index) *)
+  (* The saturated values, by population index: *)
+  sat_term : float array;  (* alpha d(theta_hat) theta_hat *)
+  sat_demand : float array;  (* d(theta_hat) = [Cp.demand_at cp theta_hat] *)
+  sat_rho : float array;  (* sat_demand *. theta_hat *)
+  beta : float array;  (* exponential-family beta; nan for other demands *)
+}
+
+let market cps =
+  let theta_hat = Array.map (fun (cp : Cp.t) -> cp.Cp.theta_hat) cps in
+  let sat_demand =
+    Array.map (fun (cp : Cp.t) -> Cp.demand_at cp cp.Cp.theta_hat) cps
+  in
+  let sat_rho = Array.mapi (fun i d -> d *. theta_hat.(i)) sat_demand in
+  { cps; order = sort_order theta_hat; sat_demand; sat_rho;
+    sat_term = Array.mapi (fun i r -> cps.(i).Cp.alpha *. r) sat_rho;
+    beta =
+      Array.map
+        (fun (cp : Cp.t) ->
+          Option.value (Demand.beta cp.Cp.demand) ~default:Float.nan)
+        cps }
+
+let market_cps m = m.cps
+
+let saturated_rho m i = m.sat_rho.(i)
+
+(* The context [context] would build on the member array: members are in
+   ascending population index, so filtering the population order yields
+   exactly [sort_order] of the member array, and the cached saturated
+   terms are the values [tail_term] computes at an infinite level. *)
+let subset_context m members =
+  let mark = Bytes.make (Array.length m.cps) '\000' in
+  Array.iter (fun i -> Bytes.set mark i '\001') members;
+  let order = Array.make (Array.length members) 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun i ->
+      if Bytes.get mark i <> '\000' then begin
+        order.(!k) <- i;
+        incr k
+      end)
+    m.order;
+  let cp i = m.cps.(i) in
+  let demand order =
+    if Array.for_all (fun i -> not (Float.is_nan m.beta.(i))) order then
+      Dexp (Array.map (Array.get m.beta) order)
+    else Dfun (Array.map (fun i -> (cp i).Cp.demand) order)
+  in
+  context_of_order order
+    ~key:(fun i -> (cp i).Cp.theta_hat)
+    ~alpha:(fun i -> (cp i).Cp.alpha)
+    ~theta_hat:(fun i -> (cp i).Cp.theta_hat)
+    ~weight:(fun _ -> 1.) ~demand
+    ~sat:(fun _ -> Array.map (Array.get m.sat_term) order)
+
+(* [of_cap] on the members at unit weights: a member saturated at [cap]
+   (theta_hat <= cap, always at an infinite level) takes its cached
+   values, the same expressions [of_cap] evaluates. *)
+let of_cap_subset m members ~congested cap =
+  let k = Array.length members in
+  let theta = Array.make k 0. in
+  let demand = Array.make k 0. in
+  let rho = Array.make k 0. in
+  let per_capita_rate = ref 0. in
+  Array.iteri
+    (fun p i ->
+      let cp = m.cps.(i) in
+      if cp.Cp.theta_hat <= cap then begin
+        theta.(p) <- cp.Cp.theta_hat;
+        demand.(p) <- m.sat_demand.(i);
+        rho.(p) <- m.sat_rho.(i)
+      end
+      else begin
+        let t = theta_at_cap cp 1. cap in
+        let d = Cp.demand_at cp t in
+        theta.(p) <- t;
+        demand.(p) <- d;
+        rho.(p) <- d *. t
+      end;
+      per_capita_rate := !per_capita_rate +. (cp.Cp.alpha *. rho.(p)))
+    members;
+  { theta; demand; rho; per_capita_rate = !per_capita_rate; congested; cap }
+
+let solve_subset ?bracket ~nu m members =
+  if nu < 0. then invalid_arg "Equilibrium.solve_subset: nu < 0";
+  Array.iteri
+    (fun p i ->
+      if i < 0 || i >= Array.length m.cps || (p > 0 && i <= members.(p - 1))
+      then
+        invalid_arg
+          "Equilibrium.solve_subset: members not ascending population indices")
+    members;
+  let k = Array.length members in
+  if k = 0 then empty
+  else begin
+    Po_obs.Metrics.incr m_solves;
+    let unconstrained =
+      Array.fold_left
+        (fun acc i -> acc +. Cp.lambda_hat_per_capita m.cps.(i))
+        0. members
+    in
+    if nu >= unconstrained then begin
+      Po_obs.Metrics.incr m_uncongested;
+      of_cap_subset m members ~congested:false Float.infinity
+    end
+    else
+      of_cap_subset m members ~congested:true
+        (solve_context ~context:(subset_context m members) ~bracket
+           ~tol:default_tol ~nu ~n:k ())
   end
 
 (* ------------------------------------------------------------------ *)
@@ -494,7 +630,7 @@ let aggregate_sorted_reference rctx ~cap =
   done;
   !acc
 
-let solve_reference ?weights ?(tol = 1e-12) ~nu cps =
+let solve_reference ?weights ?(tol = default_tol) ~nu cps =
   if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
   let n = Array.length cps in
   if n = 0 then empty

@@ -36,6 +36,13 @@
     {!solve_reference}, which deliberately keeps boxed records and
     closure-based demand evaluation.
 
+    {b Market context (DESIGN.md §16).}  A CP game solves subsets of one
+    population thousands of times.  {!market} sorts that population and
+    caches each CP's saturated terms once; {!solve_subset} then builds a
+    subset's context by filtering the market's order, with no sort and
+    no demand evaluation for the saturated terms, and returns the
+    bits {!solve} returns on the member array.
+
     All quantities are per-capita ([nu = mu / M]); Lemma 1 (independence of
     scale) is then true by construction, and absolute systems [(M, mu)] are
     handled by dividing. *)
@@ -115,6 +122,38 @@ val solve_soa :
     [solve ~nu (Cp_soa.to_cps soa)] on every input (test/test_soa.ml);
     same option semantics, error taxonomy and observability counters as
     {!solve}. *)
+
+type market
+(** One population's per-CP constants, built once and read by every
+    class solve over its subsets (DESIGN.md §16): the (theta_hat, index)
+    sort order, and each CP's saturated demand [d(theta_hat)], rate
+    [rho = d(theta_hat) theta_hat] and aggregate term [alpha rho], plus
+    the beta column of exponential demands.  Unit weights (max-min
+    fairness).  Immutable, so one market may be shared across domains. *)
+
+val market : Cp.t array -> market
+(** Build the market of a population: one sort and one demand evaluation
+    per CP. *)
+
+val market_cps : market -> Cp.t array
+(** The population the market was built from. *)
+
+val saturated_rho : market -> int -> float
+(** [saturated_rho m i] is CP [i]'s rate at its own [theta_hat]:
+    bit for bit [Cp.rho cp ~theta:cp.theta_hat]. *)
+
+val solve_subset :
+  ?bracket:float * float -> nu:float -> market -> int array -> solution
+(** [solve_subset ~nu m members] is the equilibrium of the CPs at the
+    given population indices, bit for bit
+    [solve ?bracket ~nu (Array.map (Array.get (market_cps m)) members)]
+    (and so {!solve_reference}); the solution's arrays follow [members].
+    [members] must be strictly ascending population indices
+    ([Invalid_argument] otherwise).  The sorted context comes from
+    filtering the market's order — no sort and no demand evaluation for
+    saturated terms — and saturated members take their cached values.
+    Same segment search, error taxonomy and counters as {!solve}, at the
+    default [tol]. *)
 
 val solve_reference :
   ?weights:float array -> ?tol:float -> nu:float -> Cp.t array -> solution

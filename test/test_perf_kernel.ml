@@ -172,6 +172,114 @@ let test_eq_empty_and_zero () =
   check_solution "zero capacity" zero (Equilibrium.solve_reference ~nu:0. cps)
 
 (* ------------------------------------------------------------------ *)
+(* Market context: class solves by member index (DESIGN.md §16)        *)
+(* ------------------------------------------------------------------ *)
+
+(* Random populations over the demand families.  Each CP draws its
+   family from [families] (one family, or all of them for a mixed
+   population, whose subsets may or may not be all-exponential), and its
+   theta_hat from a coarse grid so that threshold ties are common. *)
+type family = Exponential | Linear | Power | Affine_floor | Inelastic
+
+let population ~families ~n seed =
+  let rng = Po_prng.Splitmix.of_int seed in
+  let u lo hi = Po_prng.Splitmix.uniform rng ~lo ~hi in
+  Array.init n (fun id ->
+      let demand =
+        match families.(Po_prng.Splitmix.int rng (Array.length families)) with
+        | Exponential -> Demand.exponential ~beta:(u 0. 4.)
+        | Linear -> Demand.linear
+        | Power -> Demand.power ~gamma:(u 0.3 2.5)
+        | Affine_floor -> Demand.affine_floor ~floor:(u 0. 0.8)
+        | Inelastic -> Demand.inelastic
+      in
+      Cp.make ~id ~alpha:(u 0.05 1.)
+        ~theta_hat:(0.5 *. float_of_int (1 + Po_prng.Splitmix.int rng 8))
+        ~demand ~v:(u 0. 1.) ~phi:(u 0. 1.) ())
+
+let kinds =
+  [ ("exponential", [| Exponential |]); ("linear", [| Linear |]);
+    ("power", [| Power |]); ("affine_floor", [| Affine_floor |]);
+    ("inelastic", [| Inelastic |]);
+    ("mixed", [| Exponential; Linear; Power; Affine_floor; Inelastic |]) ]
+
+(* Ascending member-index subsets: empty, single, full, every CP tied at
+   the most common theta_hat, and random halves. *)
+let subsets rng cps =
+  let n = Array.length cps in
+  let where pred = Array.of_list (List.filter pred (List.init n Fun.id)) in
+  let count th =
+    Array.fold_left
+      (fun k (cp : Cp.t) -> if Float.equal cp.Cp.theta_hat th then k + 1 else k)
+      0 cps
+  in
+  let commonest =
+    Array.fold_left
+      (fun best (cp : Cp.t) ->
+        if count cp.Cp.theta_hat > count best then cp.Cp.theta_hat else best)
+      cps.(0).Cp.theta_hat cps
+  in
+  [ ("empty", [||]); ("single", [| n / 2 |]); ("full", Array.init n Fun.id);
+    ("tied", where (fun i -> Float.equal cps.(i).Cp.theta_hat commonest)) ]
+  @ List.init 3 (fun k ->
+        ( Printf.sprintf "random%d" k,
+          where (fun _ -> Po_prng.Splitmix.bool rng) ))
+
+let test_market_subsets () =
+  List.iter
+    (fun (kind, families) ->
+      List.iter
+        (fun seed ->
+          let cps = population ~families ~n:40 seed in
+          let market = Equilibrium.market cps in
+          let rng = Po_prng.Splitmix.of_int (seed + 1000) in
+          List.iter
+            (fun (label, members) ->
+              let member_cps = Array.map (Array.get cps) members in
+              let unconstrained =
+                Array.fold_left
+                  (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp)
+                  0. member_cps
+              in
+              List.iter
+                (fun nu ->
+                  let name =
+                    Printf.sprintf "%s seed=%d %s nu=%g" kind seed label nu
+                  in
+                  let cold = Equilibrium.solve ~nu member_cps in
+                  check_solution (name ^ " reference") cold
+                    (Equilibrium.solve_reference ~nu member_cps);
+                  check_solution name
+                    (Equilibrium.solve_subset ~nu market members) cold;
+                  let cap = cold.Equilibrium.cap in
+                  List.iter
+                    (fun (hint, bracket) ->
+                      check_solution
+                        (Printf.sprintf "%s bracket %s" name hint)
+                        (Equilibrium.solve_subset ~bracket ~nu market members)
+                        (Equilibrium.solve ~bracket ~nu member_cps))
+                    [ ("tight", (cap *. 0.99, cap *. 1.01));
+                      ("rising", (cap *. 0.5, Float.infinity));
+                      ("falling", (0., cap *. 2.));
+                      ("wrong side", (cap *. 2., cap *. 3.)) ])
+                [ 0.; 0.1 *. unconstrained; 0.5 *. unconstrained;
+                  0.95 *. unconstrained; unconstrained;
+                  1.5 *. unconstrained +. 1. ])
+            (subsets rng cps))
+        [ 3; 8 ])
+    kinds
+
+let test_market_rejects_bad_members () =
+  let market = Equilibrium.market (population ~families:[| Linear |] ~n:5 1) in
+  List.iter
+    (fun members ->
+      Alcotest.check_raises "not ascending"
+        (Invalid_argument
+           "Equilibrium.solve_subset: members not ascending population indices")
+        (fun () -> ignore (Equilibrium.solve_subset ~nu:1. market members)))
+    [ [| 2; 1 |]; [| 1; 1 |]; [| 5 |]; [| -1 |] ]
+
+(* ------------------------------------------------------------------ *)
 (* CP game: caching/warm-started engine vs cold reference engine       *)
 (* ------------------------------------------------------------------ *)
 
@@ -212,7 +320,37 @@ let test_game_differential () =
             (Cp_game.solve ~nu ~strategy cps)
             (Cp_game.solve_reference ~nu ~strategy cps))
         (game_points cps))
-    [ 4; 42 ]
+    [ 4; 42 ];
+  (* Every demand family, each game cold and warm-started from another
+     game's partition and from a random one. *)
+  List.iter
+    (fun (kind, families) ->
+      let cps = population ~families ~n:30 (String.length kind) in
+      let rng = Po_prng.Splitmix.of_int 77 in
+      let random_init =
+        Partition.of_premium_indicator
+          (Array.init (Array.length cps) (fun _ -> Po_prng.Splitmix.bool rng))
+      in
+      let previous = ref random_init in
+      List.iter
+        (fun (kappa, c, nu) ->
+          let strategy = Strategy.make ~kappa ~c in
+          let cold = Cp_game.solve ~nu ~strategy cps in
+          check_outcome
+            (Printf.sprintf "%s (%g,%g,nu=%g)" kind kappa c nu)
+            cold
+            (Cp_game.solve_reference ~nu ~strategy cps);
+          List.iter
+            (fun (start, init) ->
+              check_outcome
+                (Printf.sprintf "%s (%g,%g,nu=%g) from %s" kind kappa c nu
+                   start)
+                (Cp_game.solve ~init ~nu ~strategy cps)
+                (Cp_game.solve_reference ~init ~nu ~strategy cps))
+            [ ("previous game", !previous); ("random", random_init) ];
+          previous := cold.Cp_game.partition)
+        (game_points cps))
+    kinds
 
 let test_game_differential_small () =
   (* Tiny populations exercise the tolerant phase and the Nash fallback,
@@ -247,6 +385,49 @@ let test_game_zero_capacity () =
   check_outcome "nu=0"
     (Cp_game.solve ~nu:0. ~strategy cps)
     (Cp_game.solve_reference ~nu:0. ~strategy cps)
+
+(* One market serves a whole search: a sequence of games on it must each
+   match a fresh reference solve, so nothing carries over between solves,
+   and the same games mapped over a pool — the market shared by every
+   domain — must equal the serial run. *)
+let test_market_reuse () =
+  let cps =
+    population ~families:[| Exponential; Linear; Power; Affine_floor |] ~n:40
+      12
+  in
+  let market = Equilibrium.market cps in
+  let sat =
+    Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps
+  in
+  let points =
+    Array.of_list
+      (List.concat_map
+         (fun (kappa, c, frac) ->
+           [ (kappa, c, frac *. sat); (1. -. kappa, c /. 2., frac *. sat) ])
+         [ (0.5, 0.3, 0.2); (0.9, 0.6, 0.5); (0.3, 0.2, 0.05);
+           (1., 0.5, 0.4); (0., 0.3, 0.3); (0.6, 0.4, 1.2) ])
+  in
+  let solve (kappa, c, nu) =
+    Cp_game.solve_market ~nu ~strategy:(Strategy.make ~kappa ~c) market
+  in
+  let serial = Array.map solve points in
+  Array.iteri
+    (fun i (kappa, c, nu) ->
+      check_outcome
+        (Printf.sprintf "reused market (%g,%g,nu=%g)" kappa c nu)
+        serial.(i)
+        (Cp_game.solve_reference ~nu ~strategy:(Strategy.make ~kappa ~c) cps))
+    points;
+  List.iter
+    (fun domains ->
+      Po_par.Pool.with_pool ~domains (fun pool ->
+          Array.iteri
+            (fun i o ->
+              check_outcome
+                (Printf.sprintf "jobs %d point %d" domains i)
+                serial.(i) o)
+            (Po_par.Pool.maybe_map (Some pool) solve points)))
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Chained sweeps: chunk layout independent of the pool                *)
@@ -344,13 +525,17 @@ let () =
           quick "all-saturated ensembles" test_eq_all_saturated;
           quick "single CP" test_eq_single_cp;
           quick "threshold ties" test_eq_threshold_ties;
-          quick "empty and zero capacity" test_eq_empty_and_zero ] );
+          quick "empty and zero capacity" test_eq_empty_and_zero;
+          quick "market subsets bit-identical" test_market_subsets;
+          quick "market rejects bad members"
+            test_market_rejects_bad_members ] );
       ( "cp_game",
         [ quick "random ensembles bit-identical" test_game_differential;
           quick "small populations bit-identical"
             test_game_differential_small;
           quick "nash solver bit-identical" test_game_nash_differential;
-          quick "zero capacity" test_game_zero_capacity ] );
+          quick "zero capacity" test_game_zero_capacity;
+          quick "one market reused, serial and pooled" test_market_reuse ] );
       ( "sweeps",
         [ quick "chain_map pool-invariant" test_chain_map_matches_serial;
           quick "monopoly sweeps pool-invariant"

@@ -329,6 +329,48 @@ let test_engine_matches_core () =
         (Option.map bits b.PO.market_share))
     out.Engine.regimes direct
 
+(* The regimes answer at one regimes_cold market (n=20, seed 1003) in
+   IEEE bits, as the code before the market context computed it.  The
+   CLI-vs-daemon byte comparisons cannot see a change that moves both
+   sides; this pins the value itself.  Each regime's phi, psi, strategy
+   (kappa, c) and market share, null where the regime has none. *)
+let test_engine_regimes_pinned () =
+  let answer =
+    Engine.eval
+      (Request.Regimes
+         { sc = sc ~n_cps:20 ~seed:1003 (); po_share = 0.5; levels = 2;
+           points = 9 })
+  in
+  let hex = function
+    | Some (Json.Number v) -> Printf.sprintf "%h" v
+    | Some Json.Null -> "null"
+    | _ -> Alcotest.fail "missing number"
+  in
+  let row r =
+    let strategy key =
+      Option.bind (Json.member "strategy" r) (fun s ->
+          match s with Json.Null -> Some Json.Null | s -> Json.member key s)
+    in
+    String.concat " "
+      [ hex (Json.member "phi" r); hex (Json.member "psi" r);
+        hex (strategy "kappa"); hex (strategy "c");
+        hex (Json.member "market_share" r) ]
+  in
+  match answer with
+  | Error _ -> Alcotest.fail "regimes eval failed"
+  | Ok json -> (
+      match Json.member "regimes" json with
+      | Some (Json.List rows) ->
+          Alcotest.(check (list string))
+            "regimes bits"
+            [ "0x1.0e8d1e444396dp+2 0x1.6ae200bb93259p+0 0x1.f8p-1 \
+               0x1.df47479dd0bfdp-2 null";
+              "0x1.d37131812c25cp+2 0x0p+0 0x0p+0 0x0p+0 null";
+              "0x1.fbf5a7684a1c5p+2 0x1.b4cbd013ab4aep-2 0x1.dp-1 \
+               0x1.bf53982ce4f74p-3 0x1.0c87cfff945d2p-1" ]
+            (List.map row rows)
+      | _ -> Alcotest.fail "missing regimes list")
+
 let test_engine_deadline_error () =
   (* Both regime queries read the one comparison, which checks the
      budget before its first solve. *)
@@ -608,6 +650,7 @@ let () =
       ( "engine",
         [ quick "bit-identical evals" test_engine_deterministic_and_bit_identical;
           quick "matches the core solve" test_engine_matches_core;
+          quick "regimes answer bits pinned" test_engine_regimes_pinned;
           quick "deadline error" test_engine_deadline_error;
           quick "solver fault" test_engine_solver_fault;
           quick "unknown figure" test_engine_unknown_figure ] );
