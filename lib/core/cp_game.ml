@@ -78,17 +78,25 @@ let class_capacities ~nu ~strategy =
 
 (* One engine lives for the duration of one equilibrium search.  It owns
 
-   - the equilibrium kernels: class re-solves by member index go to
-     {!Equilibrium.solve_subset} on the population's market, solo and
-     ex-post solves to {!Equilibrium.solve}; the reference engine sends
-     both to the retained {!Equilibrium.solve_reference} for differential
-     testing (which ignores bracket hints and the market),
+   - the equilibrium kernels.  A class re-solve by member index yields
+     the class's water level only ({!Equilibrium.subset_level} on the
+     population's market): under throughput taking (Assumption 3) a CP
+     chooses its class from the two levels alone, so best-response passes
+     read nothing else.  The solution arrays are materialised
+     ({!Equilibrium.of_cap_subset}) only for the outcome and for the Nash
+     pass, which reads each CP's own rate.  Solo-entrant solves go through
+     the market as one-member classes, ex-post deviations to
+     {!Equilibrium.solve}; the reference engine sends all of them to the
+     retained {!Equilibrium.solve_reference} for differential testing
+     (which ignores bracket hints and the market),
    - the market's cached saturated rates, which an occupied class whose
      level saturates a CP hands to that CP's entrant estimate,
-   - a partition-keyed memo of class solutions — the phases of the
-     search revisit partitions (cycle iterates, the finishing
+   - a partition-keyed memo of class levels — the phases of the search
+     revisit partitions (cycle iterates, the finishing
      [outcome_of_partition], quiescent passes), and a class re-solve is
-     a pure function of the membership,
+     a pure function of the membership.  Each entry also keeps what was
+     read at its levels: the two solutions once materialised, and every
+     entrant estimate once computed,
    - a per-class solo-entrant memo: the rate an entrant anticipates in
      an {e empty} class is its solo equilibrium, a pure function of
      (CP, nu_class) re-requested for every CP every round,
@@ -102,79 +110,131 @@ let class_capacities ~nu ~strategy =
    equilibrium.mli),
    so an engine with everything enabled matches the reference engine bit
    for bit — test/test_perf_kernel.ml holds it to that. *)
+
+(* The memo entry of one partition.  [cap_o] and [cap_p] are the
+   entrant caps (0 in a class without capacity).  [estimates] holds the
+   entrant estimate of CP [i] for the ordinary class at [i] and for the
+   premium class at [n + i], nan until first read; it is allocated on
+   the first read. *)
+type entry = {
+  congested_o : bool;
+  cap_o : float;
+  congested_p : bool;
+  cap_p : float;
+  mutable solutions : (Equilibrium.solution * Equilibrium.solution) option;
+  mutable estimates : float array;
+}
+
 type engine = {
-  class_kernel :
-    bracket:(float * float) option -> nu:float -> int array ->
-    Equilibrium.solution;
+  class_level :
+    bracket:(float * float) option -> nu:float -> int array -> bool * float;
+  materialise :
+    nu:float -> int array -> congested:bool -> float -> Equilibrium.solution;
+  solo : nu:float -> int -> float;  (* CP [i]'s rate alone in a class *)
   kernel :
     bracket:(float * float) option -> nu:float -> Cp.t array ->
     Equilibrium.solution;
   saturated_rho : (int -> float) option;
-  (* R2-audit (no directive needed; only find_opt/add/mem/replace): all three engine tables are pure memos
+  (* R2-audit (no directive needed; only find_opt/add/mem/replace): the class memo is a pure memo
      used through find_opt/replace only, never iterated, so Hashtbl order
      cannot reach any result. *)
-  class_memo :
-    (string, Equilibrium.solution * Equilibrium.solution) Hashtbl.t option;
-  solo_o : (int, float) Hashtbl.t option;  (* CP id -> solo rho at nu_o *)
-  solo_p : (int, float) Hashtbl.t option;
+  class_memo : (string, entry) Hashtbl.t option;
+  solo_o : float array option;  (* population index -> solo rho at nu_o *)
+  solo_p : float array option;  (* nan until solved *)
   mutable hint_o : (float * float) option;
   mutable hint_p : (float * float) option;
 }
 
 let optimized_engine market =
-  { class_kernel =
+  let n = Array.length (Equilibrium.market_cps market) in
+  { class_level =
       (fun ~bracket ~nu members ->
-        Equilibrium.solve_subset ?bracket ~nu market members);
+        Equilibrium.subset_level ?bracket ~nu market members);
+    materialise =
+      (fun ~nu:_ members ~congested cap ->
+        Equilibrium.of_cap_subset market members ~congested cap);
+    solo =
+      (fun ~nu i ->
+        (Equilibrium.solve_subset ~nu market [| i |]).Equilibrium.rho.(0));
     kernel = (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps);
     saturated_rho = Some (Equilibrium.saturated_rho market);
     class_memo = Some (Hashtbl.create 64);
-    solo_o = Some (Hashtbl.create 64);
-    solo_p = Some (Hashtbl.create 64);
+    solo_o = Some (Array.make n Float.nan);
+    solo_p = Some (Array.make n Float.nan);
     hint_o = None; hint_p = None }
 
 let reference_engine cps =
   let kernel ~bracket:_ ~nu cps = Equilibrium.solve_reference ~nu cps in
-  { class_kernel =
-      (fun ~bracket ~nu members ->
-        kernel ~bracket ~nu (Array.map (Array.get cps) members));
+  let solve ~nu members =
+    Equilibrium.solve_reference ~nu (Array.map (Array.get cps) members)
+  in
+  { class_level =
+      (fun ~bracket:_ ~nu members ->
+        let sol = solve ~nu members in
+        (sol.Equilibrium.congested, sol.Equilibrium.cap));
+    materialise = (fun ~nu members ~congested:_ _ -> solve ~nu members);
+    solo = (fun ~nu i -> (solve ~nu [| i |]).Equilibrium.rho.(0));
     kernel; saturated_rho = None; class_memo = None; solo_o = None;
     solo_p = None; hint_o = None; hint_p = None }
 
-let class_solution_eng eng ~premium ~nu_class members =
-  if Float.equal nu_class 0. then zero_class_solution (Array.length members)
+(* [(congested, cap)] of one class: the fields of {!class_solution}. *)
+let class_level_eng eng ~premium ~nu_class members =
+  if Float.equal nu_class 0. then (Array.length members > 0, 0.)
   else begin
     let bracket = if premium then eng.hint_p else eng.hint_o in
     if premium then eng.hint_p <- None else eng.hint_o <- None;
-    eng.class_kernel ~bracket ~nu:nu_class members
+    eng.class_level ~bracket ~nu:nu_class members
   end
 
-(* Both class solutions at a partition, memoised on the membership key
+(* Both class levels at a partition, memoised on the membership key
    (with a fixed population the key pins both member sets). *)
-let class_solutions eng ~nu_o ~nu_p partition =
+let class_levels eng ~nu_o ~nu_p partition =
   let compute () =
-    let sol_o =
-      class_solution_eng eng ~premium:false ~nu_class:nu_o
+    let congested_o, cap_o =
+      class_level_eng eng ~premium:false ~nu_class:nu_o
         (Partition.ordinary_indices partition)
     in
-    let sol_p =
-      class_solution_eng eng ~premium:true ~nu_class:nu_p
+    let congested_p, cap_p =
+      class_level_eng eng ~premium:true ~nu_class:nu_p
         (Partition.premium_indices partition)
     in
-    (sol_o, sol_p)
+    { congested_o; cap_o; congested_p; cap_p; solutions = None;
+      estimates = [||] }
   in
   match eng.class_memo with
   | None -> compute ()
   | Some memo -> (
       let key = Partition.key partition in
       match Hashtbl.find_opt memo key with
-      | Some pair ->
+      | Some entry ->
           Po_obs.Metrics.incr m_class_hits;
-          pair
+          entry
       | None ->
           Po_obs.Metrics.incr m_class_misses;
-          let pair = compute () in
-          Hashtbl.replace memo key pair;
-          pair)
+          let entry = compute () in
+          Hashtbl.replace memo key entry;
+          entry)
+
+(* Both class solutions of a memo entry, materialised on first use. *)
+let class_solutions eng ~nu_o ~nu_p partition entry =
+  match entry.solutions with
+  | Some pair -> pair
+  | None ->
+      let solution ~nu_class members ~congested cap =
+        if Float.equal nu_class 0. then
+          zero_class_solution (Array.length members)
+        else eng.materialise ~nu:nu_class members ~congested cap
+      in
+      let pair =
+        ( solution ~nu_class:nu_o
+            (Partition.ordinary_indices partition)
+            ~congested:entry.congested_o entry.cap_o,
+          solution ~nu_class:nu_p
+            (Partition.premium_indices partition)
+            ~congested:entry.congested_p entry.cap_p )
+      in
+      entry.solutions <- Some pair;
+      pair
 
 (* Record that CP [i] just moved: the class it left can only see its
    water level rise, the class it joined can only see it fall.  [cap_o]
@@ -202,23 +262,22 @@ let note_move eng ~to_premium ~cap_o ~cap_p =
    lure every CP simultaneously and destabilise the iteration — so the
    entrant anticipates its own solo equilibrium there instead.  Solo
    equilibria depend only on (CP, nu_class); the engine memoises them by
-   CP id (unique within a population by construction). *)
-let solo_rho eng ~premium ~nu_class (cp : Cp.t) =
-  let compute () =
-    (eng.kernel ~bracket:None ~nu:nu_class [| cp |]).Equilibrium.rho.(0)
-  in
+   population index. *)
+let solo_rho eng ~premium ~nu_class i =
   match if premium then eng.solo_p else eng.solo_o with
-  | None -> compute ()
-  | Some memo -> (
-      match Hashtbl.find_opt memo cp.Cp.id with
-      | Some rho ->
-          Po_obs.Metrics.incr m_solo_hits;
-          rho
-      | None ->
-          Po_obs.Metrics.incr m_solo_misses;
-          let rho = compute () in
-          Hashtbl.replace memo cp.Cp.id rho;
-          rho)
+  | None -> eng.solo ~nu:nu_class i
+  | Some memo ->
+      let rho = memo.(i) in
+      if Float.is_nan rho then begin
+        Po_obs.Metrics.incr m_solo_misses;
+        let rho = eng.solo ~nu:nu_class i in
+        memo.(i) <- rho;
+        rho
+      end
+      else begin
+        Po_obs.Metrics.incr m_solo_hits;
+        rho
+      end
 
 (* A level at or above the CP's theta_hat saturates it: [rho_at_cap]
    then evaluates its demand at theta_hat, which the market has cached
@@ -229,7 +288,23 @@ let estimate_rho eng ~premium ~nu_class ~occupied cap i (cp : Cp.t) =
     match eng.saturated_rho with
     | Some saturated when cap >= cp.Cp.theta_hat -> saturated i
     | Some _ | None -> rho_at_cap cp cap
-  else solo_rho eng ~premium ~nu_class cp
+  else solo_rho eng ~premium ~nu_class i
+
+(* [estimate_rho] at a memo entry's levels, kept in the entry: the
+   occupancy and the level are functions of the entry's partition, so a
+   revisited partition replays its estimates. *)
+let entry_estimate eng entry ~premium ~nu_class ~occupied i cp ~n =
+  if Array.length entry.estimates = 0 then
+    entry.estimates <- Array.make (2 * n) Float.nan;
+  let slot = if premium then n + i else i in
+  let rho = entry.estimates.(slot) in
+  if Float.is_nan rho then begin
+    let cap = if premium then entry.cap_p else entry.cap_o in
+    let rho = estimate_rho eng ~premium ~nu_class ~occupied cap i cp in
+    entry.estimates.(slot) <- rho;
+    rho
+  end
+  else rho
 
 let outcome_of_partition_eng eng ~nu ~strategy cps partition =
   if nu < 0. then invalid_arg "Cp_game.outcome_of_partition: nu < 0";
@@ -237,7 +312,8 @@ let outcome_of_partition_eng eng ~nu ~strategy cps partition =
   if Partition.size partition <> n then
     invalid_arg "Cp_game.outcome_of_partition: partition size mismatch";
   let nu_o, nu_p = class_capacities ~nu ~strategy in
-  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p partition in
+  let entry = class_levels eng ~nu_o ~nu_p partition in
+  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p partition entry in
   let ordinary = Partition.ordinary_members partition cps in
   let premium = Partition.premium_members partition cps in
   let theta = Array.make n 0. and rho = Array.make n 0. in
@@ -254,9 +330,8 @@ let outcome_of_partition_eng eng ~nu ~strategy cps partition =
     Surplus.consumer ordinary sol_o +. Surplus.consumer premium sol_p
   in
   let lambda_premium = sol_p.Equilibrium.per_capita_rate in
-  { strategy; nu; partition; theta; rho;
-    cap_ordinary = entrant_cap ~nu_class:nu_o sol_o;
-    cap_premium = entrant_cap ~nu_class:nu_p sol_p;
+  { strategy; nu; partition; theta; rho; cap_ordinary = entry.cap_o;
+    cap_premium = entry.cap_p;
     lambda_ordinary = sol_o.Equilibrium.per_capita_rate; lambda_premium;
     phi; psi = Strategy.c strategy *. lambda_premium; converged = true;
     iterations = 0; concept = Competitive 0. }
@@ -272,23 +347,22 @@ let simultaneous_round eng ~nu ~strategy cps partition =
   Po_obs.Metrics.incr m_sync_rounds;
   let nu_o, nu_p = class_capacities ~nu ~strategy in
   let c = Strategy.c strategy in
-  let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p partition in
-  let cap_o = entrant_cap ~nu_class:nu_o sol_o in
-  let cap_p = entrant_cap ~nu_class:nu_p sol_p in
+  let entry = class_levels eng ~nu_o ~nu_p partition in
   let occupied_o = Partition.ordinary_count partition > 0 in
   let occupied_p = Partition.premium_count partition > 0 in
+  let n = Array.length cps in
   Partition.of_premium_indicator
     (Array.mapi
        (fun i (cp : Cp.t) ->
          let u_ordinary =
            cp.Cp.v
-           *. estimate_rho eng ~premium:false ~nu_class:nu_o
-                ~occupied:occupied_o cap_o i cp
+           *. entry_estimate eng entry ~premium:false ~nu_class:nu_o
+                ~occupied:occupied_o i cp ~n
          in
          let u_premium =
            (cp.Cp.v -. c)
-           *. estimate_rho eng ~premium:true ~nu_class:nu_p
-                ~occupied:occupied_p cap_p i cp
+           *. entry_estimate eng entry ~premium:true ~nu_class:nu_p
+                ~occupied:occupied_p i cp ~n
          in
          u_premium > u_ordinary)
        cps)
@@ -315,33 +389,30 @@ let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy cps partition =
      whole solve at n = 1000. *)
   let n_total = Partition.size partition in
   let n_premium = ref (Partition.premium_count partition) in
-  let caps = ref None in
-  let current_caps () =
-    match !caps with
-    | Some pair -> pair
+  let levels = ref None in
+  let current_levels () =
+    match !levels with
+    | Some entry -> entry
     | None ->
-        let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p !current in
-        let pair =
-          (entrant_cap ~nu_class:nu_o sol_o, entrant_cap ~nu_class:nu_p sol_p)
-        in
-        caps := Some pair;
-        pair
+        let entry = class_levels eng ~nu_o ~nu_p !current in
+        levels := Some entry;
+        entry
   in
   for i = 0 to Array.length cps - 1 do
-    let cap_o, cap_p = current_caps () in
+    let entry = current_levels () in
     let occupied_o = n_total - !n_premium > 0 in
     let occupied_p = !n_premium > 0 in
     let cp = cps.(i) in
     let v = cp.Cp.v in
     let u_ordinary =
       v
-      *. estimate_rho eng ~premium:false ~nu_class:nu_o ~occupied:occupied_o
-           cap_o i cp
+      *. entry_estimate eng entry ~premium:false ~nu_class:nu_o
+           ~occupied:occupied_o i cp ~n:n_total
     in
     let u_premium =
       (v -. c)
-      *. estimate_rho eng ~premium:true ~nu_class:nu_p ~occupied:occupied_p
-           cap_p i cp
+      *. entry_estimate eng entry ~premium:true ~nu_class:nu_p
+           ~occupied:occupied_p i cp ~n:n_total
     in
     let in_premium = Partition.in_premium !current i in
     let margin u = Float.abs u *. hysteresis in
@@ -354,8 +425,9 @@ let asynchronous_pass ?(hysteresis = 0.) eng ~nu ~strategy cps partition =
       current := Partition.move !current i ~premium:wants_premium;
       n_premium := !n_premium + (if wants_premium then 1 else -1);
       moved := true;
-      note_move eng ~to_premium:wants_premium ~cap_o ~cap_p;
-      caps := None
+      note_move eng ~to_premium:wants_premium ~cap_o:entry.cap_o
+        ~cap_p:entry.cap_p;
+      levels := None
     end
   done;
   (!current, !moved)
@@ -370,8 +442,9 @@ let check_budget budget ~nu ~strategy =
   | None -> ()
   | Some b ->
       Po_guard.Po_error.with_context
-        [ ("solver", "cp_game"); ("nu", Printf.sprintf "%.17g" nu);
-          ("strategy", Strategy.to_string strategy) ]
+        (fun () ->
+          [ ("solver", "cp_game"); ("nu", Printf.sprintf "%.17g" nu);
+            ("strategy", Strategy.to_string strategy) ])
         (fun () -> Po_sup.Budget.check b)
 
 let default_init ~strategy cps =
@@ -444,29 +517,30 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy cps =
       | None ->
           let ordinary = Partition.ordinary_members !current cps in
           let premium = Partition.premium_members !current cps in
-          let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p !current in
-          let s = (ordinary, premium, sol_o, sol_p, class_positions !current) in
+          let entry = class_levels eng ~nu_o ~nu_p !current in
+          let sol_o, sol_p = class_solutions eng ~nu_o ~nu_p !current entry in
+          let s =
+            (ordinary, premium, entry, sol_o, sol_p, class_positions !current)
+          in
           state := Some s;
           s
     in
     for i = 0 to Array.length cps - 1 do
-      let ordinary, premium, sol_o, sol_p, positions = current_state () in
+      let ordinary, premium, entry, sol_o, sol_p, positions =
+        current_state ()
+      in
       let rho_own = own_rho !current positions sol_o sol_p i in
       let cp = cps.(i) in
       let v = cp.Cp.v in
       let wants_premium =
         if Partition.in_premium !current i then
           let rho_dev =
-            expost_rho eng ~nu_class:nu_o
-              ~cap_hint:(entrant_cap ~nu_class:nu_o sol_o)
-              ordinary cp
+            expost_rho eng ~nu_class:nu_o ~cap_hint:entry.cap_o ordinary cp
           in
           (v -. c) *. rho_own > v *. rho_dev
         else
           let rho_dev =
-            expost_rho eng ~nu_class:nu_p
-              ~cap_hint:(entrant_cap ~nu_class:nu_p sol_p)
-              premium cp
+            expost_rho eng ~nu_class:nu_p ~cap_hint:entry.cap_p premium cp
           in
           (v -. c) *. rho_dev > v *. rho_own
       in
@@ -474,9 +548,8 @@ let solve_nash_eng eng ?budget ?init ?(max_rounds = 100) ~nu ~strategy cps =
         Po_obs.Metrics.incr m_moves;
         current := Partition.move !current i ~premium:wants_premium;
         moved := true;
-        note_move eng ~to_premium:wants_premium
-          ~cap_o:(entrant_cap ~nu_class:nu_o sol_o)
-          ~cap_p:(entrant_cap ~nu_class:nu_p sol_p);
+        note_move eng ~to_premium:wants_premium ~cap_o:entry.cap_o
+          ~cap_p:entry.cap_p;
         state := None
       end
     done;

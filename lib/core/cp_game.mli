@@ -86,12 +86,15 @@ val solve :
     outcome.
 
     Internally the search runs on an {e engine} that memoises class
-    solutions by partition key, memoises solo-entrant equilibria by CP id,
-    and warm-starts every class re-solve after a single-CP move from a
-    one-sided bracket around the previous water level (the level moves
-    monotonically when one CP enters or leaves; DESIGN.md §9).  Class
-    re-solves pass member indices to {!Po_model.Equilibrium.solve_subset}
-    on the population's market, and an entrant estimate at a level that
+    water levels by partition key, memoises solo-entrant equilibria by
+    population index, and warm-starts every class re-solve after a
+    single-CP move from a one-sided bracket around the previous water
+    level (the level moves monotonically when one CP enters or leaves;
+    DESIGN.md §9).  Class re-solves pass member indices to
+    {!Po_model.Equilibrium.subset_level} on the population's market and
+    build no solution arrays; those are materialised only for the outcome
+    and the Nash pass, and kept in the memo with the entrant estimates
+    read at each partition.  An entrant estimate at a level that
     saturates the CP reads the market's cached rate (DESIGN.md §16).  All
     of these are bit-transparent, so {!solve} agrees with
     {!solve_reference} bit for bit.

@@ -12,6 +12,7 @@ let unconstrained_nu cps =
 let phis_at (config : Oligopoly.config) cps shares =
   let nu_sat = Float.max (unconstrained_nu cps) 1e-9 in
   let nu_big = (4. *. nu_sat) +. 1. in
+  let market = Equilibrium.market cps in
   Array.mapi
     (fun i (isp : Oligopoly.isp) ->
       let nu_i =
@@ -20,7 +21,8 @@ let phis_at (config : Oligopoly.config) cps shares =
       in
       (Cp_game.ensure_converged
          ~context:[ ("stage", "migration"); ("isp", isp.Oligopoly.label) ]
-         (Cp_game.solve ~nu:nu_i ~strategy:isp.Oligopoly.strategy cps))
+         (Cp_game.solve_market ~nu:nu_i ~strategy:isp.Oligopoly.strategy
+            market))
         .Cp_game.phi)
     config.Oligopoly.isps
 

@@ -169,12 +169,14 @@ let solve_given_curves ~nu_sat ~curves ?prices config cps =
           Float.min nu_big
             (config.isps.(i).gamma *. config.nu /. raw_shares.(i)))
   in
+  let market = Equilibrium.market cps in
   let outcomes =
     Array.init n (fun i ->
         Cp_game.ensure_converged
           ~context:
             [ ("stage", "oligopoly"); ("isp", config.isps.(i).label) ]
-          (Cp_game.solve ~nu:nus.(i) ~strategy:config.isps.(i).strategy cps))
+          (Cp_game.solve_market ~nu:nus.(i) ~strategy:config.isps.(i).strategy
+             market))
   in
   let phis = Array.map (fun (o : Cp_game.outcome) -> o.Cp_game.phi) outcomes in
   let psis =

@@ -1,19 +1,34 @@
-type t = bool array
-(* Invariant: treated as immutable; every exposed constructor copies. *)
+(* One byte per CP, 'P' for premium and 'O' for ordinary: the vector is
+   its own {!key}, so a memo lookup builds nothing.
+   Invariant: never mutated once returned; every constructor and [move]
+   write a fresh vector. *)
+type t = Bytes.t
+
+let premium_byte = 'P'
+
+let ordinary_byte = 'O'
 
 let all_ordinary n =
   if n < 0 then invalid_arg "Partition.all_ordinary: negative size";
-  Array.make n false
+  Bytes.make n ordinary_byte
 
-let of_premium_indicator a = Array.copy a
+let of_premium_indicator a =
+  Bytes.init (Array.length a) (fun i ->
+      if a.(i) then premium_byte else ordinary_byte)
 
-let of_premium_pred cps pred = Array.map pred cps
+let of_premium_pred cps pred =
+  Bytes.init (Array.length cps) (fun i ->
+      if pred cps.(i) then premium_byte else ordinary_byte)
 
-let size = Array.length
-let in_premium t i = t.(i)
+let size = Bytes.length
+let in_premium t i = Char.equal (Bytes.get t i) premium_byte
 
 let premium_count t =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t
+  let k = ref 0 in
+  for i = 0 to size t - 1 do
+    if in_premium t i then incr k
+  done;
+  !k
 
 let ordinary_count t = size t - premium_count t
 
@@ -21,36 +36,40 @@ let check_size t cps =
   if Array.length cps <> size t then
     invalid_arg "Partition: CP array size mismatch"
 
-let filter_members t cps keep_premium =
-  check_size t cps;
-  let out = ref [] in
-  for i = size t - 1 downto 0 do
-    if t.(i) = keep_premium then out := cps.(i) :: !out
+(* The positions [i] with [in_premium t i = premium], ascending. *)
+let filter_indices t premium =
+  let count = if premium then premium_count t else ordinary_count t in
+  let out = Array.make count 0 in
+  let k = ref 0 in
+  for i = 0 to size t - 1 do
+    if Bool.equal (in_premium t i) premium then begin
+      out.(!k) <- i;
+      incr k
+    end
   done;
-  Array.of_list !out
-
-let premium_members t cps = filter_members t cps true
-let ordinary_members t cps = filter_members t cps false
-
-let filter_indices t keep_premium =
-  let out = ref [] in
-  for i = size t - 1 downto 0 do
-    if t.(i) = keep_premium then out := i :: !out
-  done;
-  Array.of_list !out
+  out
 
 let premium_indices t = filter_indices t true
 let ordinary_indices t = filter_indices t false
 
+let premium_members t cps =
+  check_size t cps;
+  Array.map (Array.get cps) (premium_indices t)
+
+let ordinary_members t cps =
+  check_size t cps;
+  Array.map (Array.get cps) (ordinary_indices t)
+
 let move t i ~premium =
   if i < 0 || i >= size t then invalid_arg "Partition.move: index out of bounds";
-  let t' = Array.copy t in
-  t'.(i) <- premium;
+  let t' = Bytes.copy t in
+  Bytes.set t' i (if premium then premium_byte else ordinary_byte);
   t'
 
-let equal a b = a = b
+let equal = Bytes.equal
 
-let key t = String.init (size t) (fun i -> if t.(i) then 'P' else 'O')
+(* Safe: [t] is never mutated after construction. *)
+let key = Bytes.unsafe_to_string
 
 let pp fmt t =
   Format.fprintf fmt "@[<h>{premium: %d/%d}@]" (premium_count t) (size t)

@@ -74,8 +74,9 @@ let theorem6 ?(params = Common.default_params) () =
   in
   let audit = Oligopoly.theorem6_audit ~i:0 cfg cps in
   let eq =
-    Po_guard.Po_error.with_context [ ("claim", "theorem6") ] (fun () ->
-        Oligopoly.solve cfg cps)
+    Po_guard.Po_error.with_context
+      (fun () -> [ ("claim", "theorem6") ])
+      (fun () -> Oligopoly.solve cfg cps)
   in
   let scale = Float.max eq.Oligopoly.phi_star 1e-9 in
   let slack = audit.Oligopoly.epsilon_rivals +. (0.05 *. scale) in
@@ -106,7 +107,9 @@ let corollary1 ?(params = Common.default_params) () =
      audit: they fail through the typed error channel, claim named. *)
   let rounds = 4 in
   let nash_cfg, nash_eq =
-    Po_guard.Po_error.with_context [ ("claim", "corollary1") ] (fun () ->
+    Po_guard.Po_error.with_context
+      (fun () -> [ ("claim", "corollary1") ])
+      (fun () ->
         (* polint: allow R8 -- the converged flag is matched right here:
            false raises Non_convergence *)
         match Oligopoly.market_share_nash ~rounds ~strategies:menu cfg cps with
@@ -128,7 +131,8 @@ let corollary1 ?(params = Common.default_params) () =
             let isps = Array.copy nash_cfg.Oligopoly.isps in
             isps.(i) <- { (isps.(i)) with Oligopoly.strategy = s };
             let eq' =
-              Po_guard.Po_error.with_context [ ("claim", "corollary1") ]
+              Po_guard.Po_error.with_context
+                (fun () -> [ ("claim", "corollary1") ])
                 (fun () ->
                   Oligopoly.solve ~curve_points:90
                     { nash_cfg with Oligopoly.isps } cps)

@@ -12,7 +12,7 @@ let guarded entry =
       (fun ?params () ->
         Common.with_figure_scope entry.id (fun () ->
             Po_guard.Po_error.with_context
-              [ ("figure", entry.id) ]
+              (fun () -> [ ("figure", entry.id) ])
               (fun () -> entry.generate ?params ()))) }
 
 let entries =

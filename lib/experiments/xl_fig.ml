@@ -24,7 +24,7 @@ let generate ?(params = Common.default_params) () =
                attached. *)
             let sol =
               Po_guard.Po_error.with_context
-                [ ("n", string_of_int n) ]
+                (fun () -> [ ("n", string_of_int n) ])
                 (fun () -> Equilibrium.solve_soa ~nu:(frac *. sat) soa)
             in
             ( sol.Equilibrium.cap,

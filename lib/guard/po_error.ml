@@ -19,7 +19,7 @@ let with_context frames f =
   with Error e ->
     let bt = Printexc.get_raw_backtrace () in
     Printexc.raise_with_backtrace
-      (Error { e with context = frames @ e.context })
+      (Error { e with context = frames () @ e.context })
       bt
 
 let capture f = try Ok (f ()) with Error e -> Result.error e

@@ -63,10 +63,12 @@ val v : ?context:(string * string) list -> kind -> t
 val fail : ?context:(string * string) list -> kind -> 'a
 (** [fail kind] raises {!Error}. *)
 
-val with_context : (string * string) list -> (unit -> 'a) -> 'a
-(** Run a thunk; if it raises {!Error}, re-raise with the frames
-    prepended (backtrace preserved).  Every other exception passes
-    through untouched. *)
+val with_context : (unit -> (string * string) list) -> (unit -> 'a) -> 'a
+(** [with_context frames f] runs [f]; if it raises {!Error}, re-raises
+    it with [frames ()] prepended (backtrace preserved).  The frames are
+    built only when an error passes through, so a hot solve that formats
+    them (["nu"] printed with [%.17g]) pays nothing when it succeeds.
+    Every other exception passes through untouched. *)
 
 val capture : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, catching {!Error} — the bridge from the raising world

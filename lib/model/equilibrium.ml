@@ -157,32 +157,24 @@ let tail_term ctx s cap =
   let d = demand_value ctx.s_demand s (theta /. th) in
   ctx.s_alpha.(s) *. (d *. theta)
 
-(* The context over the CPs [order] lists, in that order: the columns
-   are read through [key], [alpha], [theta_hat] and [weight] (all by
-   population index), [demand order] picks the demand column, and [sat]
-   gives the saturated terms of the assembled context. *)
-let context_of_order order ~key ~alpha ~theta_hat ~weight ~demand ~sat =
-  let ctx_no_sat =
-    { thresholds = Array.map key order; sat = [||]; sat_prefix = [||];
-      s_alpha = Array.map alpha order; s_theta_hat = Array.map theta_hat order;
-      s_weights = Array.map weight order; s_demand = demand order }
+let build_context ~n ~alpha ~theta_hat ~weights ~demand =
+  let keys = Array.init n (fun i -> theta_hat i /. weights.(i)) in
+  let order = sort_order keys in
+  let ctx =
+    { thresholds = Array.map (Array.get keys) order; sat = [||];
+      sat_prefix = [||]; s_alpha = Array.map alpha order;
+      s_theta_hat = Array.map theta_hat order;
+      s_weights = Array.map (Array.get weights) order; s_demand = demand order }
   in
-  let sat = sat ctx_no_sat in
-  let n = Array.length order in
+  (* Saturated contribution = the tail term at an infinite water level
+     (theta pinned to theta_hat), exactly the record path's
+     [Cp.lambda_per_capita cp ~theta:theta_hat]. *)
+  let sat = Array.init n (fun s -> tail_term ctx s Float.infinity) in
   let sat_prefix = Array.make (n + 1) 0. in
   for s = 0 to n - 1 do
     sat_prefix.(s + 1) <- sat_prefix.(s) +. sat.(s)
   done;
-  { ctx_no_sat with sat; sat_prefix }
-
-let build_context ~n ~alpha ~theta_hat ~weights ~demand =
-  let keys = Array.init n (fun i -> theta_hat i /. weights.(i)) in
-  (* Saturated contribution = the tail term at an infinite water level
-     (theta pinned to theta_hat), exactly the record path's
-     [Cp.lambda_per_capita cp ~theta:theta_hat]. *)
-  context_of_order (sort_order keys) ~key:(Array.get keys) ~alpha ~theta_hat
-    ~weight:(Array.get weights) ~demand
-    ~sat:(fun ctx -> Array.init n (fun s -> tail_term ctx s Float.infinity))
+  { ctx with sat; sat_prefix }
 
 let context ?weights cps =
   let n = Array.length cps in
@@ -280,63 +272,90 @@ let aggregate_sorted ctx ~cap =
    results, which is what lets the CP game warm-start aggressively
    without breaking determinism.
 
+   The search never evaluates a grid point twice, and hands the values
+   it holds at the final segment's ends to Brent, which would otherwise
+   evaluate them again.  A one-sided hint — [(cap, infinity)] for a
+   level that can only rise, [(0, cap)] for one that can only fall, the
+   two the CP game produces — gallops from its finite end, so a level
+   that moved by a few thresholds costs a few probes, not a bisection of
+   the whole grid.  Neither changes the segment or the values Brent is
+   given, so neither changes a bit of the result.
+
    [aggregate] closes over its own population data (column context or
    the reference's record context); only [thresholds] is needed here. *)
 let congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu =
   let n = Array.length thresholds in
   let grid_point k = if k = 0 then 0. else thresholds.(k - 1) in
   let g cap = aggregate ~cap -. nu in
-  let g_at k = g (grid_point k) in
   (* g(0) = -nu exactly — every term of the aggregate is d_i(0) *. 0. = 0.
      — so the zero-capacity check needs no O(n) evaluation. *)
   if Float.equal nu 0. then
     { Po_num.Roots.root = 0.; value = 0.; iterations = 0; converged = true }
-  else if g_at n < 0. then
-    (* Can only happen for demands violating d(1) = 1 (Assumption 1):
-       even a level saturating every CP falls short of nu.  The seed
-       solver raised [Roots.No_bracket] here; since PR 4 the condition
-       travels the typed error channel instead (same taxonomy case). *)
-    Po_guard.Po_error.fail
-      (Po_guard.Po_error.No_bracket
-         (Printf.sprintf
-            "Equilibrium.solve: aggregate at cap_max falls short of nu=%g" nu))
   else begin
-    (* Largest k with g(x_k) < 0, sought over [0, n]; a bracket hint that
-       provably straddles the sign change narrows the search range, and
-       one that does not is discarded after two cheap probes. *)
-    let lo, hi =
-      match bracket with
-      | None -> (0, n)
-      | Some (b_lo, b_hi) ->
-          let b_lo = Float.max b_lo 0. in
-          let b_hi = Float.min b_hi (grid_point n) in
-          if not (b_lo < b_hi && Float.is_finite b_lo) then begin
-            Po_obs.Metrics.incr m_hint_discarded;
-            (0, n)
-          end
-          else begin
-            let k_lo = saturated_count thresholds b_lo in
-            let k_hi =
-              (* Smallest k with grid_point k >= b_hi. *)
-              min n (saturated_count thresholds b_hi + 1)
-            in
-            if k_lo < k_hi && g_at k_lo < 0. && g_at k_hi >= 0. then begin
-              Po_obs.Metrics.incr m_hint_used;
-              (k_lo, k_hi)
-            end
-            else begin
-              Po_obs.Metrics.incr m_hint_discarded;
-              (0, n)
-            end
-          end
+    let g_n = g (grid_point n) in
+    if g_n < 0. then
+      (* Can only happen for demands violating d(1) = 1 (Assumption 1):
+         even a level saturating every CP falls short of nu.  The seed
+         solver raised [Roots.No_bracket] here; the condition now
+         travels the typed error channel instead (same taxonomy case,
+         DESIGN.md §10). *)
+      Po_guard.Po_error.fail
+        (Po_guard.Po_error.No_bracket
+           (Printf.sprintf
+              "Equilibrium.solve: aggregate at cap_max falls short of nu=%g"
+              nu));
+    (* The segment sought is [lo, lo + 1] with g(x_lo) < 0 <= g(x_hi);
+       every probe narrows [lo, hi] towards it and keeps the value it
+       computed.  g(x_0) = -nu < 0 holds without an evaluation. *)
+    let lo = ref 0 and hi = ref n in
+    let g_lo = ref None and g_hi = ref (Some g_n) in
+    let below k =
+      let v = g (grid_point k) in
+      if v < 0. then begin
+        lo := k;
+        g_lo := Some v;
+        true
+      end
+      else begin
+        hi := k;
+        g_hi := Some v;
+        false
+      end
     in
-    let lo = ref lo and hi = ref hi in
+    (match bracket with
+    | None -> ()
+    | Some (b_lo, b_hi) ->
+        (* A hint that provably straddles the sign change narrows the
+           search to its grid points; one that does not is discarded
+           after at most two probes (which still narrow it). *)
+        let b_lo = Float.max b_lo 0. in
+        let b_hi = Float.min b_hi (grid_point n) in
+        let k_lo = saturated_count thresholds b_lo in
+        (* Smallest k with grid_point k >= b_hi. *)
+        let k_hi = min n (saturated_count thresholds b_hi + 1) in
+        if
+          b_lo < b_hi && Float.is_finite b_lo && k_lo < k_hi
+          && (k_lo = 0 || below k_lo)
+          && (k_hi = n || not (below k_hi))
+        then begin
+          Po_obs.Metrics.incr m_hint_used;
+          (* Gallop from the finite end of a one-sided hint. *)
+          let step = ref 1 in
+          if k_hi = n && k_lo > 0 then
+            while !lo + !step < !hi && below (!lo + !step) do
+              step := 2 * !step
+            done
+          else if k_lo = 0 && k_hi < n then
+            while !hi - !step > !lo && not (below (!hi - !step)) do
+              step := 2 * !step
+            done
+        end
+        else Po_obs.Metrics.incr m_hint_discarded);
     while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if g_at mid < 0. then lo := mid else hi := mid
+      ignore (below ((!lo + !hi) / 2))
     done;
-    Po_num.Roots.brent ~tol ~max_iter:200 ~f:g ~lo:(grid_point !lo)
-      ~hi:(grid_point !hi) ()
+    Po_num.Roots.brent ~tol ~max_iter:200 ?f_lo:!g_lo ?f_hi:!g_hi ~f:g
+      ~lo:(grid_point !lo) ~hi:(grid_point !hi) ()
   end
 
 (* Shared congested-solve flow: fault site, context frames, the segment
@@ -346,7 +365,9 @@ let congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu =
    supervision layer (DESIGN.md §13): every aggregate evaluation is one
    iteration of the segment search or of Brent, so checking inside the
    closure bounds the time between checks by a single O(log n + tail)
-   evaluation.  [None] costs nothing. *)
+   evaluation.  [None] costs nothing.  The frames are built only on the
+   way out of a failure: formatting [nu] costs about a microsecond,
+   which a small class solve cannot afford on every call. *)
 let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
   let aggregate =
     match budget with
@@ -356,7 +377,7 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
           Po_sup.Budget.check b;
           aggregate ~cap
   in
-  let frames =
+  let frames () =
     [ ("solver", "equilibrium"); ("nu", Printf.sprintf "%.17g" nu);
       ("cps", string_of_int n) ]
   in
@@ -365,7 +386,7 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
      needing a pathological input. *)
   if Po_guard.Faultinject.fire Po_guard.Faultinject.Solver ~key:0 then
     Po_guard.Po_error.fail
-      ~context:(("injected", "solver") :: frames)
+      ~context:(("injected", "solver") :: frames ())
       (Po_guard.Po_error.Non_convergence
          { residual = Float.infinity; iterations = 0 });
   let outcome =
@@ -377,7 +398,7 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
      every welfare number downstream, so surface it. *)
   Po_obs.Metrics.add m_iterations outcome.Po_num.Roots.iterations;
   if not outcome.Po_num.Roots.converged then
-    Po_guard.Po_error.fail ~context:frames
+    Po_guard.Po_error.fail ~context:(frames ())
       (Po_guard.Po_error.Non_convergence
          { residual = Float.abs outcome.Po_num.Roots.value;
            iterations = outcome.Po_num.Roots.iterations });
@@ -472,59 +493,82 @@ let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = default_tol) ~nu
 type market = {
   cps : Cp.t array;
   order : int array;  (* population indices by (theta_hat, index) *)
-  (* The saturated values, by population index: *)
+  (* Columns by population index: *)
+  theta_hat : float array;
+  alpha : float array;
   sat_term : float array;  (* alpha d(theta_hat) theta_hat *)
   sat_demand : float array;  (* d(theta_hat) = [Cp.demand_at cp theta_hat] *)
   sat_rho : float array;  (* sat_demand *. theta_hat *)
   beta : float array;  (* exponential-family beta; nan for other demands *)
+  unit : float array;  (* n ones: the weight column of every subset *)
 }
 
 let market cps =
   let theta_hat = Array.map (fun (cp : Cp.t) -> cp.Cp.theta_hat) cps in
+  let alpha = Array.map (fun (cp : Cp.t) -> cp.Cp.alpha) cps in
   let sat_demand =
     Array.map (fun (cp : Cp.t) -> Cp.demand_at cp cp.Cp.theta_hat) cps
   in
   let sat_rho = Array.mapi (fun i d -> d *. theta_hat.(i)) sat_demand in
-  { cps; order = sort_order theta_hat; sat_demand; sat_rho;
-    sat_term = Array.mapi (fun i r -> cps.(i).Cp.alpha *. r) sat_rho;
+  { cps; order = sort_order theta_hat; theta_hat; alpha; sat_demand; sat_rho;
+    sat_term = Array.mapi (fun i r -> alpha.(i) *. r) sat_rho;
     beta =
       Array.map
         (fun (cp : Cp.t) ->
           Option.value (Demand.beta cp.Cp.demand) ~default:Float.nan)
-        cps }
+        cps;
+    unit = unit_weights (Array.length cps) }
 
 let market_cps m = m.cps
 
 let saturated_rho m i = m.sat_rho.(i)
 
-(* The context [context] would build on the member array: members are in
-   ascending population index, so filtering the population order yields
-   exactly [sort_order] of the member array, and the cached saturated
-   terms are the values [tail_term] computes at an infinite level. *)
+(* The context [context] would build on the member array, in one pass
+   over the market's columns: members are in ascending population index,
+   so filtering the population order yields exactly [sort_order] of the
+   member array (one member needs no filtering), and the cached saturated
+   terms are the values [tail_term] computes at an infinite level.  At
+   unit weights a threshold is theta_hat itself, so the two columns are
+   one array. *)
 let subset_context m members =
-  let mark = Bytes.make (Array.length m.cps) '\000' in
-  Array.iter (fun i -> Bytes.set mark i '\001') members;
-  let order = Array.make (Array.length members) 0 in
-  let k = ref 0 in
-  Array.iter
-    (fun i ->
-      if Bytes.get mark i <> '\000' then begin
-        order.(!k) <- i;
-        incr k
-      end)
-    m.order;
-  let cp i = m.cps.(i) in
-  let demand order =
-    if Array.for_all (fun i -> not (Float.is_nan m.beta.(i))) order then
-      Dexp (Array.map (Array.get m.beta) order)
-    else Dfun (Array.map (fun i -> (cp i).Cp.demand) order)
+  let k = Array.length members in
+  let s_theta_hat = Array.make k 0. in
+  let s_alpha = Array.make k 0. in
+  let sat = Array.make k 0. in
+  let sat_prefix = Array.make (k + 1) 0. in
+  let betas = Array.make k 0. in
+  let order = if k = 1 then members else Array.make k 0 in
+  let exponential = ref true in
+  let place s i =
+    s_theta_hat.(s) <- m.theta_hat.(i);
+    s_alpha.(s) <- m.alpha.(i);
+    let b = m.beta.(i) in
+    if Float.is_nan b then exponential := false;
+    betas.(s) <- b;
+    sat.(s) <- m.sat_term.(i);
+    sat_prefix.(s + 1) <- sat_prefix.(s) +. sat.(s)
   in
-  context_of_order order
-    ~key:(fun i -> (cp i).Cp.theta_hat)
-    ~alpha:(fun i -> (cp i).Cp.alpha)
-    ~theta_hat:(fun i -> (cp i).Cp.theta_hat)
-    ~weight:(fun _ -> 1.) ~demand
-    ~sat:(fun _ -> Array.map (Array.get m.sat_term) order)
+  if k = 1 then place 0 members.(0)
+  else begin
+    let mark = Bytes.make (Array.length m.cps) '\000' in
+    for p = 0 to k - 1 do
+      Bytes.set mark members.(p) '\001'
+    done;
+    let s = ref 0 in
+    for r = 0 to Array.length m.order - 1 do
+      let i = m.order.(r) in
+      if Bytes.get mark i <> '\000' then begin
+        order.(!s) <- i;
+        place !s i;
+        incr s
+      end
+    done
+  end;
+  { thresholds = s_theta_hat; sat; sat_prefix; s_alpha; s_theta_hat;
+    s_weights = m.unit;
+    s_demand =
+      (if !exponential then Dexp betas
+       else Dfun (Array.map (fun i -> m.cps.(i).Cp.demand) order)) }
 
 (* [of_cap] on the members at unit weights: a member saturated at [cap]
    (theta_hat <= cap, always at an infinite level) takes its cached
@@ -554,33 +598,34 @@ let of_cap_subset m members ~congested cap =
     members;
   { theta; demand; rho; per_capita_rate = !per_capita_rate; congested; cap }
 
-let solve_subset ?bracket ~nu m members =
+let subset_level ?bracket ~nu m members =
   if nu < 0. then invalid_arg "Equilibrium.solve_subset: nu < 0";
+  let n = Array.length m.cps in
+  let unconstrained = ref 0. in
   Array.iteri
     (fun p i ->
-      if i < 0 || i >= Array.length m.cps || (p > 0 && i <= members.(p - 1))
-      then
+      if i < 0 || i >= n || (p > 0 && i <= members.(p - 1)) then
         invalid_arg
-          "Equilibrium.solve_subset: members not ascending population indices")
+          "Equilibrium.solve_subset: members not ascending population indices";
+      unconstrained := !unconstrained +. (m.alpha.(i) *. m.theta_hat.(i)))
     members;
   let k = Array.length members in
-  if k = 0 then empty
+  if k = 0 then (false, Float.infinity)
   else begin
     Po_obs.Metrics.incr m_solves;
-    let unconstrained =
-      Array.fold_left
-        (fun acc i -> acc +. Cp.lambda_hat_per_capita m.cps.(i))
-        0. members
-    in
-    if nu >= unconstrained then begin
+    if nu >= !unconstrained then begin
       Po_obs.Metrics.incr m_uncongested;
-      of_cap_subset m members ~congested:false Float.infinity
+      (false, Float.infinity)
     end
     else
-      of_cap_subset m members ~congested:true
-        (solve_context ~context:(subset_context m members) ~bracket
-           ~tol:default_tol ~nu ~n:k ())
+      ( true,
+        solve_context ~context:(subset_context m members) ~bracket
+          ~tol:default_tol ~nu ~n:k () )
   end
+
+let solve_subset ?bracket ~nu m members =
+  let congested, cap = subset_level ?bracket ~nu m members in
+  of_cap_subset m members ~congested cap
 
 (* ------------------------------------------------------------------ *)
 (* Record-based reference solver (retained, DESIGN.md §9 and §12)     *)

@@ -142,18 +142,31 @@ val saturated_rho : market -> int -> float
 (** [saturated_rho m i] is CP [i]'s rate at its own [theta_hat]:
     bit for bit [Cp.rho cp ~theta:cp.theta_hat]. *)
 
+val subset_level :
+  ?bracket:float * float -> nu:float -> market -> int array -> bool * float
+(** [subset_level ~nu m members] is the water level of the CPs at the
+    given population indices, as [(congested, cap)]: the two fields of
+    {!solve_subset}'s solution, and nothing else is built.  [cap] is
+    infinite when the members are uncongested or there are none.
+    [members] must be strictly ascending population indices
+    ([Invalid_argument] otherwise).  The sorted context comes from one
+    pass over the market's order and columns — no sort, and no demand
+    evaluation for saturated terms.  Same segment search, error
+    taxonomy and counters as {!solve}, at the default [tol]. *)
+
+val of_cap_subset : market -> int array -> congested:bool -> float -> solution
+(** [of_cap_subset m members ~congested cap] materialises the members'
+    solution at water level [cap]: throughputs, demands and rates in
+    [members] order (saturated members take the market's cached values)
+    and their per-capita rate.  No solve and no counter. *)
+
 val solve_subset :
   ?bracket:float * float -> nu:float -> market -> int array -> solution
-(** [solve_subset ~nu m members] is the equilibrium of the CPs at the
-    given population indices, bit for bit
-    [solve ?bracket ~nu (Array.map (Array.get (market_cps m)) members)]
-    (and so {!solve_reference}); the solution's arrays follow [members].
-    [members] must be strictly ascending population indices
-    ([Invalid_argument] otherwise).  The sorted context comes from
-    filtering the market's order — no sort and no demand evaluation for
-    saturated terms — and saturated members take their cached values.
-    Same segment search, error taxonomy and counters as {!solve}, at the
-    default [tol]. *)
+(** [solve_subset ~nu m members] is {!of_cap_subset} at {!subset_level}:
+    the equilibrium of the CPs at the given population indices, bit for
+    bit [solve ?bracket ~nu (Array.map (Array.get (market_cps m))
+    members)] (and so {!solve_reference}); the solution's arrays follow
+    [members]. *)
 
 val solve_reference :
   ?weights:float array -> ?tol:float -> nu:float -> Cp.t array -> solution

@@ -39,9 +39,12 @@ let bisect ?(tol = default_tol) ?(max_iter = default_max_iter) ~f ~lo ~hi () =
     in
     loop lo flo hi 0
 
-let brent ?(tol = default_tol) ?(max_iter = default_max_iter) ~f ~lo ~hi () =
+let brent ?(tol = default_tol) ?(max_iter = default_max_iter) ?f_lo ?f_hi ~f
+    ~lo ~hi () =
   let a = ref lo and b = ref hi in
-  let fa = ref (f !a) and fb = ref (f !b) in
+  let known v x = match v with Some fx -> fx | None -> f x in
+  let fa = ref (known f_lo lo) in
+  let fb = ref (known f_hi hi) in
   if Float.equal !fa 0. then
     { root = !a; value = 0.; iterations = 0; converged = true }
   else if Float.equal !fb 0. then

@@ -32,11 +32,15 @@ val bisect :
     point where [f] changes sign. *)
 
 val brent :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> outcome
+  ?tol:float -> ?max_iter:int -> ?f_lo:float -> ?f_hi:float ->
+  f:(float -> float) -> lo:float -> hi:float -> unit -> outcome
 (** Brent's method (inverse quadratic interpolation + secant + bisection
     safeguard).  Same bracketing contract as {!bisect}; faster on smooth
-    functions. *)
+    functions.
+
+    [f_lo] and [f_hi] are [f lo] and [f hi] when the caller has already
+    evaluated them; [f] is then not called there again.  Given the exact
+    values, the outcome is bit for bit that of a call without them. *)
 
 val secant :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> x0:float -> x1:float ->

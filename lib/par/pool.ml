@@ -294,7 +294,7 @@ let run_chunks ~chunk_size ?(sup = Po_sup.Supervise.default) ?cached
         let r =
           Po_obs.Metrics.time_s m_chunk_s (fun () ->
               Po_guard.Po_error.with_context
-                [ ("chunk", string_of_int ci) ]
+                (fun () -> [ ("chunk", string_of_int ci) ])
                 (fun () -> compute ci ~start ~stop))
         in
         (match on_chunk with None -> () | Some h -> h ci r);
@@ -344,7 +344,7 @@ let run_chunks ~chunk_size ?(sup = Po_sup.Supervise.default) ?cached
       let r =
         Po_obs.Metrics.time_s m_chunk_s (fun () ->
             Po_guard.Po_error.with_context
-              [ ("chunk", string_of_int ci) ]
+              (fun () -> [ ("chunk", string_of_int ci) ])
               (fun () ->
                 if not degraded then fire_slow ci ~limit:inj_limit;
                 compute ci ~start ~stop))

@@ -221,7 +221,7 @@ let wrap dispatch ?budget query =
   match
     Po_guard.Po_error.capture (fun () ->
         Po_guard.Po_error.with_context
-          [ ("query", Request.query_name query) ]
+          (fun () -> [ ("query", Request.query_name query) ])
           (fun () -> dispatch ?budget query))
   with
   | Ok json -> Ok json

@@ -47,7 +47,7 @@ let test_error_context () =
   (match
      Po_error.capture (fun () ->
          Po_error.with_context
-           [ ("outer", "a") ]
+           (fun () -> [ ("outer", "a") ])
            (fun () ->
              Po_error.fail ~context:[ ("inner", "b") ]
                (Po_error.No_bracket "x")))
@@ -161,6 +161,52 @@ let test_solver_site () =
           ()
       | Error e -> Alcotest.failf "wrong error: %s" (Po_error.to_string e)
       | Ok _ -> Alcotest.fail "armed solver site did not fire")
+
+(* The frames a failed congested solve carries: [solver], [nu] printed
+   with %.17g (so the exact capacity round-trips) and [cps], in that
+   order — for an injected fault (after its "injected" frame) and for a
+   demand curve whose saturated aggregate falls short of nu
+   ([No_bracket]). *)
+let test_solver_frames () =
+  let frames nu n =
+    [ ("solver", "equilibrium"); ("nu", Printf.sprintf "%.17g" nu);
+      ("cps", string_of_int n) ]
+  in
+  let check_frames name expected = function
+    | Error { Po_error.context; _ } ->
+        Alcotest.(check (list (pair string string))) name expected context
+    | Ok _ -> Alcotest.failf "%s: expected a typed error" name
+  in
+  with_disarm (fun () ->
+      let cps = Po_workload.Scenario.three_cp () in
+      let nu = 0.1 /. 3. in
+      Faultinject.arm (spec ~solver:1 ());
+      check_frames "injected fault"
+        (("injected", "solver") :: frames nu 3)
+        (Po_error.capture (fun () -> Po_model.Equilibrium.solve ~nu cps)));
+  let half = Po_model.Demand.of_fun ~name:"half" (fun _ -> 0.5) in
+  let cps =
+    Array.init 4 (fun id ->
+        Po_model.Cp.make ~id ~alpha:1.
+          ~theta_hat:(1. +. float_of_int id)
+          ~demand:half ())
+  in
+  (* The saturated aggregate is 0.5 * 10; nu = 7 lies between it and the
+     unconstrained 10, so the solve is congested and cannot bracket. *)
+  let nu = 7. +. 1e-13 in
+  let result =
+    Po_error.capture (fun () -> Po_model.Equilibrium.solve ~nu cps)
+  in
+  (match result with
+  | Error { Po_error.kind = Po_error.No_bracket _; _ } -> ()
+  | _ -> Alcotest.fail "expected No_bracket");
+  check_frames "no bracket" (frames nu 4) result;
+  (* Members with theta_hat 1, 2 and 4: saturated 3.5, unconstrained 7. *)
+  let nu = 5. +. 1e-13 in
+  let market = Po_model.Equilibrium.market cps in
+  check_frames "no bracket, market subset" (frames nu 3)
+    (Po_error.capture (fun () ->
+         Po_model.Equilibrium.solve_subset ~nu market [| 0; 1; 3 |]))
 
 (* The CP game at a boundary: a spent iteration budget is a best-effort
    outcome that [ensure_converged] under [capture] turns into a typed
@@ -466,6 +512,7 @@ let () =
           quick "spec round trip" test_spec_roundtrip;
           quick "fire semantics" test_fire_counters;
           quick "solver site" test_solver_site;
+          quick "solver error frames" test_solver_frames;
           quick "cp game boundary" test_cp_game_boundary ] );
       ( "pool",
         [ quick "injected worker crash" test_injected_worker_crash;

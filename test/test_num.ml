@@ -103,6 +103,43 @@ let prop_monotone_level_solves =
       let r = Roots.find_monotone_level ~f ~level ~lo:0. ~hi:b () in
       Float.abs (f r.Roots.root -. level) < 1e-6 *. (1. +. level))
 
+(* Brent handed the endpoint values it would compute itself returns the
+   same outcome bit for bit, with two fewer calls of [f] (none fewer when
+   it stops at an endpoint root before any iteration). *)
+let prop_brent_known_endpoints =
+  QCheck.Test.make ~name:"brent ~f_lo ~f_hi equals plain brent" ~count:300
+    QCheck.(
+      quad (float_range 0.1 5.) (float_range (-3.) 3.) (float_range 0. 4.)
+        (float_range 0.01 6.))
+    (fun (a, r, lo_off, width) ->
+      let calls = ref 0 in
+      let f x =
+        incr calls;
+        (a *. (x -. r)) +. (0.3 *. Float.sin (x -. r) *. (x -. r))
+      in
+      let lo = r -. lo_off and hi = r -. lo_off +. width in
+      let run ?f_lo ?f_hi () =
+        try Some (Roots.brent ?f_lo ?f_hi ~f ~lo ~hi ())
+        with Roots.No_bracket _ -> None
+      in
+      let plain = run () in
+      let plain_calls = !calls in
+      let f_lo = f lo and f_hi = f hi in
+      calls := 0;
+      let known = run ~f_lo ~f_hi () in
+      let same (p : Roots.outcome) (k : Roots.outcome) =
+        Int64.equal (Int64.bits_of_float p.Roots.root)
+          (Int64.bits_of_float k.Roots.root)
+        && Int64.equal (Int64.bits_of_float p.Roots.value)
+             (Int64.bits_of_float k.Roots.value)
+        && p.Roots.iterations = k.Roots.iterations
+        && Bool.equal p.Roots.converged k.Roots.converged
+      in
+      match (plain, known) with
+      | None, None -> !calls = 0 && plain_calls = 2
+      | Some p, Some k -> same p k && !calls = plain_calls - 2
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Grid                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -579,7 +616,8 @@ let () =
           quick "expand bracket fails" test_expand_bracket_fails;
           quick "monotone level interior" test_monotone_level_interior;
           quick "monotone level clamps" test_monotone_level_clamps;
-          prop prop_monotone_level_solves ] );
+          prop prop_monotone_level_solves;
+          prop prop_brent_known_endpoints ] );
       ( "grid",
         [ quick "linspace basic" test_linspace_basic;
           quick "linspace single" test_linspace_single;

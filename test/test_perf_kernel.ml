@@ -269,6 +269,61 @@ let test_market_subsets () =
         [ 3; 8 ])
     kinds
 
+(* The hints the CP game hands out after a move are one-sided:
+   [(cap, infinity)] for a class whose level can only rise and
+   [(0, cap)] for one whose level can only fall.  Placed at, just below
+   and just above every threshold of the population — whether the root
+   lies on the hinted side or not — each must give the cold solution bit
+   for bit, on the record front end and on a market subset. *)
+let test_one_sided_hints_every_threshold () =
+  List.iter
+    (fun (kind, families) ->
+      let cps = population ~families ~n:30 5 in
+      let market = Equilibrium.market cps in
+      let members =
+        Array.of_list
+          (List.filter (fun i -> i mod 3 <> 1) (List.init 30 Fun.id))
+      in
+      let member_cps = Array.map (Array.get cps) members in
+      let unconstrained =
+        Array.fold_left
+          (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp)
+          0. member_cps
+      in
+      let positions =
+        List.concat_map
+          (fun (cp : Cp.t) ->
+            let t = cp.Cp.theta_hat in
+            [ Float.pred t; t; Float.succ t ])
+          (Array.to_list member_cps)
+        @ [ 1e-9; 1e9 ]
+      in
+      List.iter
+        (fun nu ->
+          let cold = Equilibrium.solve ~nu member_cps in
+          check_solution
+            (Printf.sprintf "%s nu=%g subset cold" kind nu)
+            (Equilibrium.solve_subset ~nu market members)
+            cold;
+          List.iter
+            (fun t ->
+              List.iter
+                (fun (side, bracket) ->
+                  let name =
+                    Printf.sprintf "%s nu=%g %s hint at %h" kind nu side t
+                  in
+                  check_solution (name ^ " record")
+                    (Equilibrium.solve ~bracket ~nu member_cps)
+                    cold;
+                  check_solution (name ^ " subset")
+                    (Equilibrium.solve_subset ~bracket ~nu market members)
+                    cold)
+                [ ("rising", (t, Float.infinity)); ("falling", (0., t)) ])
+            positions)
+        [ 0.05 *. unconstrained; 0.4 *. unconstrained;
+          0.9 *. unconstrained ])
+    kinds
+
 let test_market_rejects_bad_members () =
   let market = Equilibrium.market (population ~families:[| Linear |] ~n:5 1) in
   List.iter
@@ -528,7 +583,9 @@ let () =
           quick "empty and zero capacity" test_eq_empty_and_zero;
           quick "market subsets bit-identical" test_market_subsets;
           quick "market rejects bad members"
-            test_market_rejects_bad_members ] );
+            test_market_rejects_bad_members;
+          quick "one-sided hints at every threshold"
+            test_one_sided_hints_every_threshold ] );
       ( "cp_game",
         [ quick "random ensembles bit-identical" test_game_differential;
           quick "small populations bit-identical"

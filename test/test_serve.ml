@@ -11,6 +11,8 @@ module Json = Po_obs.Json
 
 let quick name f = Alcotest.test_case name `Quick f
 
+let slow name f = Alcotest.test_case name `Slow f
+
 let sc ?(n_cps = 25) ?(seed = 7) ?(nu_frac = 0.85) () =
   { Request.n_cps; seed; nu_frac }
 
@@ -329,17 +331,15 @@ let test_engine_matches_core () =
         (Option.map bits b.PO.market_share))
     out.Engine.regimes direct
 
-(* The regimes answer at one regimes_cold market (n=20, seed 1003) in
-   IEEE bits, as the code before the market context computed it.  The
-   CLI-vs-daemon byte comparisons cannot see a change that moves both
-   sides; this pins the value itself.  Each regime's phi, psi, strategy
-   (kappa, c) and market share, null where the regime has none. *)
-let test_engine_regimes_pinned () =
+(* The regimes answer in IEEE bits, one row per regime: phi, psi,
+   strategy (kappa, c) and market share, null where the regime has none.
+   The CLI-vs-daemon byte comparisons cannot see a change that moves
+   both sides; this pins the value itself. *)
+let regimes_bits ~n_cps ~seed =
   let answer =
     Engine.eval
       (Request.Regimes
-         { sc = sc ~n_cps:20 ~seed:1003 (); po_share = 0.5; levels = 2;
-           points = 9 })
+         { sc = sc ~n_cps ~seed (); po_share = 0.5; levels = 2; points = 9 })
   in
   let hex = function
     | Some (Json.Number v) -> Printf.sprintf "%h" v
@@ -360,16 +360,53 @@ let test_engine_regimes_pinned () =
   | Error _ -> Alcotest.fail "regimes eval failed"
   | Ok json -> (
       match Json.member "regimes" json with
-      | Some (Json.List rows) ->
-          Alcotest.(check (list string))
-            "regimes bits"
-            [ "0x1.0e8d1e444396dp+2 0x1.6ae200bb93259p+0 0x1.f8p-1 \
-               0x1.df47479dd0bfdp-2 null";
-              "0x1.d37131812c25cp+2 0x0p+0 0x0p+0 0x0p+0 null";
-              "0x1.fbf5a7684a1c5p+2 0x1.b4cbd013ab4aep-2 0x1.dp-1 \
-               0x1.bf53982ce4f74p-3 0x1.0c87cfff945d2p-1" ]
-            (List.map row rows)
+      | Some (Json.List rows) -> List.map row rows
       | _ -> Alcotest.fail "missing regimes list")
+
+let check_regimes_bits ~n_cps ~seed expected =
+  Alcotest.(check (list string))
+    (Printf.sprintf "regimes bits n=%d seed=%d" n_cps seed)
+    expected
+    (regimes_bits ~n_cps ~seed)
+
+(* The four regimes_cold markets (n=20..50, seeds 1003..1006), as the
+   code before the market context (n=20) and before level-only class
+   solves (the others) computed them. *)
+let test_engine_regimes_pinned () =
+  check_regimes_bits ~n_cps:20 ~seed:1003
+    [ "0x1.0e8d1e444396dp+2 0x1.6ae200bb93259p+0 0x1.f8p-1 \
+       0x1.df47479dd0bfdp-2 null";
+      "0x1.d37131812c25cp+2 0x0p+0 0x0p+0 0x0p+0 null";
+      "0x1.fbf5a7684a1c5p+2 0x1.b4cbd013ab4aep-2 0x1.dp-1 \
+       0x1.bf53982ce4f74p-3 0x1.0c87cfff945d2p-1" ];
+  check_regimes_bits ~n_cps:30 ~seed:1004
+    [ "0x1.e513b055f32dap+2 0x1.26a4788278abp+1 0x1p+0 \
+       0x1.38ee360f2ef18p-1 null";
+      "0x1.d428e820d6dfcp+3 0x0p+0 0x0p+0 0x0p+0 null";
+      "0x1.dfbae99a28186p+3 0x1.2616668ba0fcep-4 0x1.8p-3 \
+       0x1.f4b0567eb1826p-4 0x1.03aa4fffe083ep-1" ];
+  check_regimes_bits ~n_cps:40 ~seed:1005
+    [ "0x1.b451ad5c4b5e1p+3 0x1.ea5f0ffec3ef3p+1 0x1p+0 \
+       0x1.1de2a228fd96cp-1 null";
+      "0x1.40ce41dbe8bb7p+4 0x0p+0 0x0p+0 0x0p+0 null";
+      "0x1.48856f24b7ec8p+4 0x1.562aac63b081dp-3 0x1p-3 \
+       0x1.fc3d920ffbb69p-3 0x1.06056fffcc472p-1" ];
+  check_regimes_bits ~n_cps:50 ~seed:1006
+    [ "0x1.7e5715c2c3e86p+4 0x1.1bbfe7fbddaeep+2 0x1p+0 \
+       0x1.f32f852747c02p-2 null";
+      "0x1.06464d2b9215ap+5 0x0p+0 0x0p+0 0x0p+0 null";
+      "0x1.16a17fc521d14p+5 0x1.383d232adabc1p+0 0x1.8p-1 \
+       0x1.18cabae6185c1p-2 0x1.0c458fff96964p-1" ]
+
+(* One market past the regimes_cold sizes (n=200, seed 7), where the
+   class re-solves after moves dominate a cold query. *)
+let test_engine_regimes_pinned_n200 () =
+  check_regimes_bits ~n_cps:200 ~seed:7
+    [ "0x1.33e2a65f854ebp+6 0x1.bcfa0fe10b02p+3 0x1p+0 \
+       0x1.99c90659b2bdap-2 null";
+      "0x1.b74e7addd4836p+6 0x0p+0 0x0p+0 0x0p+0 null";
+      "0x1.b99e9a76fa6d2p+6 0x1.5be94e0fa3176p+0 0x1.2p-2 \
+       0x1.b94ea460991afp-3 0x1.01712ffff39ccp-1" ]
 
 let test_engine_deadline_error () =
   (* Both regime queries read the one comparison, which checks the
@@ -651,6 +688,8 @@ let () =
         [ quick "bit-identical evals" test_engine_deterministic_and_bit_identical;
           quick "matches the core solve" test_engine_matches_core;
           quick "regimes answer bits pinned" test_engine_regimes_pinned;
+          slow "regimes answer bits pinned at n=200"
+            test_engine_regimes_pinned_n200;
           quick "deadline error" test_engine_deadline_error;
           quick "solver fault" test_engine_solver_fault;
           quick "unknown figure" test_engine_unknown_figure ] );
