@@ -22,7 +22,7 @@
 
    4. {b xl scale tier} — wall-clock scaling of the structure-of-arrays
       solver stack (DESIGN.md §12) at n = 10^4, 10^5, 10^6: streaming
-      ensemble generation, context build, cold equilibrium solve, and
+      ensemble generation, column-market build, cold equilibrium solve, and
       the CP game up to 10^5, with fitted log-log scaling exponents
       (expect ~1 for the O(n log n) kernels).  [--xl-smoke] is the CI
       variant: one n = 10^5 population generated on the hardened pool
@@ -219,13 +219,6 @@ let run_microbenchmarks () =
 let json_float ?(decimals = 1) v =
   if Float.is_finite v then Printf.sprintf "%.*f" decimals v else "null"
 
-let time_runs ~runs f =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to runs do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int runs
-
 (* Least-squares slope of log(seconds) against log(n): ~1 for the
    O(n log n) kernels (the log factor adds a few hundredths over two
    decades), ~2 would flag an accidental quadratic path. *)
@@ -246,32 +239,51 @@ let xl_sizes = [ 10_000; 100_000; 1_000_000 ]
    exponent is readable from two decades. *)
 let xl_game_cutoff = 100_000
 
+(* Median, min and max wall time of three cold runs: one cold run at
+   n = 10^6 swings by tens of percent with host load, so a cell is a
+   median with its spread beside it. *)
+let time_cell f =
+  let times =
+    Array.init 3 (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (Sys.opaque_identity (f ()));
+        Unix.gettimeofday () -. t0)
+  in
+  Array.sort Float.compare times;
+  (times.(1), times.(0), times.(2))
+
 let run_xl_bench () =
   print_endline "== xl tier: structure-of-arrays scaling (wall clock) ==";
-  Printf.printf "  %-28s %10s %12s\n" "kernel" "n" "seconds";
+  Printf.printf "  %-28s %10s %12s %17s\n" "kernel" "n" "median(s)"
+    "min-max(s)";
   let strategy = Po_core.Strategy.make ~kappa:0.5 ~c:0.3 in
   let rows = ref [] in
-  let row name n seconds =
-    rows := (name, n, seconds) :: !rows;
-    Printf.printf "  %-28s %10d %12.4f\n%!" name n seconds
+  let row name n ((median, lo, hi) as cell) =
+    rows := (name, n, cell) :: !rows;
+    Printf.printf "  %-28s %10d %12.4f %10.4f-%.4f\n%!" name n median lo hi
   in
   List.iter
     (fun n ->
-      let runs = if n >= 1_000_000 then 1 else 3 in
       row "ensemble_generate_soa" n
-        (time_runs ~runs (fun () ->
+        (time_cell (fun () ->
              Po_workload.Ensemble.paper_ensemble_soa ~n ~seed:42 ()));
       let soa = Po_workload.Ensemble.paper_ensemble_soa ~n ~seed:42 () in
-      let nu = 0.3 *. Po_model.Cp_soa.saturation_nu soa in
-      row "equilibrium_context_soa" n
-        (time_runs ~runs (fun () -> Po_model.Equilibrium.context_soa soa));
+      let sat = Po_model.Cp_soa.saturation_nu soa in
+      (* Above saturation the solve is an unsorted column market (one
+         demand evaluation per CP, no sort) plus one pass copying the
+         cached saturated values: no context and no root finding. *)
+      row "equilibrium_uncongested_soa" n
+        (time_cell (fun () ->
+             Po_model.Equilibrium.solve_soa ~nu:(2. *. sat) soa));
       row "equilibrium_solve_soa" n
-        (time_runs ~runs (fun () -> Po_model.Equilibrium.solve_soa ~nu soa));
+        (time_cell (fun () ->
+             Po_model.Equilibrium.solve_soa ~nu:(0.3 *. sat) soa));
       if n <= xl_game_cutoff then begin
         (* The CP game runs on records; convert outside the timed thunk. *)
         let cps = Po_model.Cp_soa.to_cps soa in
         row "cp_game_solve" n
-          (time_runs ~runs:1 (fun () -> Po_core.Cp_game.solve ~nu ~strategy cps))
+          (time_cell (fun () ->
+               Po_core.Cp_game.solve ~nu:(0.3 *. sat) ~strategy cps))
       end)
     xl_sizes;
   let rows = List.rev !rows in
@@ -280,13 +292,13 @@ let run_xl_bench () =
       (fun kernel ->
         let points =
           List.filter_map
-            (fun (name, n, s) ->
-              if String.equal name kernel then Some (n, s) else None)
+            (fun (name, n, (median, _, _)) ->
+              if String.equal name kernel then Some (n, median) else None)
             rows
         in
         if List.length points >= 2 then Some (kernel, fit_exponent points)
         else None)
-      [ "ensemble_generate_soa"; "equilibrium_context_soa";
+      [ "ensemble_generate_soa"; "equilibrium_uncongested_soa";
         "equilibrium_solve_soa"; "cp_game_solve" ]
   in
   print_newline ();
@@ -301,10 +313,14 @@ let write_xl_json ~rows ~exponents =
   let path = Filename.concat results_dir "bench_xl.json" in
   let row_lines =
     List.map
-      (fun (name, n, seconds) ->
-        Printf.sprintf "    {\"name\": \"%s\", \"n\": %d, \"seconds\": %s}"
+      (fun (name, n, (median, lo, hi)) ->
+        Printf.sprintf
+          "    {\"name\": \"%s\", \"n\": %d, \"seconds\": %s, \"min_s\": \
+           %s, \"max_s\": %s}"
           name n
-          (json_float ~decimals:4 seconds))
+          (json_float ~decimals:4 median)
+          (json_float ~decimals:4 lo)
+          (json_float ~decimals:4 hi))
       rows
   in
   let exp_lines =

@@ -26,10 +26,6 @@ let m_class_hits = Po_obs.Metrics.counter "cp_game.class_memo_hits"
 
 let m_class_misses = Po_obs.Metrics.counter "cp_game.class_memo_misses"
 
-let m_solo_hits = Po_obs.Metrics.counter "cp_game.solo_memo_hits"
-
-let m_solo_misses = Po_obs.Metrics.counter "cp_game.solo_memo_misses"
-
 type outcome = {
   strategy : Strategy.t;
   nu : float;
@@ -97,9 +93,6 @@ let class_capacities ~nu ~strategy =
      a pure function of the membership.  Each entry also keeps what was
      read at its levels: the two solutions once materialised, and every
      entrant estimate once computed,
-   - a per-class solo-entrant memo: the rate an entrant anticipates in
-     an {e empty} class is its solo equilibrium, a pure function of
-     (CP, nu_class) re-requested for every CP every round,
    - per-class warm-start brackets: when a single CP moves, the donor
      class's water level can only rise and the recipient's only fall,
      so the next re-solve starts from a one-sided interval around the
@@ -139,14 +132,11 @@ type engine = {
      used through find_opt/replace only, never iterated, so Hashtbl order
      cannot reach any result. *)
   class_memo : (string, entry) Hashtbl.t option;
-  solo_o : float array option;  (* population index -> solo rho at nu_o *)
-  solo_p : float array option;  (* nan until solved *)
   mutable hint_o : (float * float) option;
   mutable hint_p : (float * float) option;
 }
 
 let optimized_engine market =
-  let n = Array.length (Equilibrium.market_cps market) in
   { class_level =
       (fun ~bracket ~nu members ->
         Equilibrium.subset_level ?bracket ~nu market members);
@@ -158,10 +148,7 @@ let optimized_engine market =
         (Equilibrium.solve_subset ~nu market [| i |]).Equilibrium.rho.(0));
     kernel = (fun ~bracket ~nu cps -> Equilibrium.solve ?bracket ~nu cps);
     saturated_rho = Some (Equilibrium.saturated_rho market);
-    class_memo = Some (Hashtbl.create 64);
-    solo_o = Some (Array.make n Float.nan);
-    solo_p = Some (Array.make n Float.nan);
-    hint_o = None; hint_p = None }
+    class_memo = Some (Hashtbl.create 64); hint_o = None; hint_p = None }
 
 let reference_engine cps =
   let kernel ~bracket:_ ~nu cps = Equilibrium.solve_reference ~nu cps in
@@ -174,8 +161,8 @@ let reference_engine cps =
         (sol.Equilibrium.congested, sol.Equilibrium.cap));
     materialise = (fun ~nu members ~congested:_ _ -> solve ~nu members);
     solo = (fun ~nu i -> (solve ~nu [| i |]).Equilibrium.rho.(0));
-    kernel; saturated_rho = None; class_memo = None; solo_o = None;
-    solo_p = None; hint_o = None; hint_p = None }
+    kernel; saturated_rho = None; class_memo = None; hint_o = None;
+    hint_p = None }
 
 (* [(congested, cap)] of one class: the fields of {!class_solution}. *)
 let class_level_eng eng ~premium ~nu_class members =
@@ -260,35 +247,18 @@ let note_move eng ~to_premium ~cap_o ~cap_p =
    expects in a class whose current water level is [cap].  An {e empty}
    class has no level to take — its cap is formally infinite, which would
    lure every CP simultaneously and destabilise the iteration — so the
-   entrant anticipates its own solo equilibrium there instead.  Solo
-   equilibria depend only on (CP, nu_class); the engine memoises them by
-   population index. *)
-let solo_rho eng ~premium ~nu_class i =
-  match if premium then eng.solo_p else eng.solo_o with
-  | None -> eng.solo ~nu:nu_class i
-  | Some memo ->
-      let rho = memo.(i) in
-      if Float.is_nan rho then begin
-        Po_obs.Metrics.incr m_solo_misses;
-        let rho = eng.solo ~nu:nu_class i in
-        memo.(i) <- rho;
-        rho
-      end
-      else begin
-        Po_obs.Metrics.incr m_solo_hits;
-        rho
-      end
+   entrant anticipates its own solo equilibrium there instead.
 
-(* A level at or above the CP's theta_hat saturates it: [rho_at_cap]
+   A level at or above the CP's theta_hat saturates it: [rho_at_cap]
    then evaluates its demand at theta_hat, which the market has cached
    under its population index [i]. *)
-let estimate_rho eng ~premium ~nu_class ~occupied cap i (cp : Cp.t) =
+let estimate_rho eng ~nu_class ~occupied cap i (cp : Cp.t) =
   if Float.equal nu_class 0. then 0.
   else if occupied then
     match eng.saturated_rho with
     | Some saturated when cap >= cp.Cp.theta_hat -> saturated i
     | Some _ | None -> rho_at_cap cp cap
-  else solo_rho eng ~premium ~nu_class i
+  else eng.solo ~nu:nu_class i
 
 (* [estimate_rho] at a memo entry's levels, kept in the entry: the
    occupancy and the level are functions of the entry's partition, so a
@@ -300,7 +270,7 @@ let entry_estimate eng entry ~premium ~nu_class ~occupied i cp ~n =
   let rho = entry.estimates.(slot) in
   if Float.is_nan rho then begin
     let cap = if premium then entry.cap_p else entry.cap_o in
-    let rho = estimate_rho eng ~premium ~nu_class ~occupied cap i cp in
+    let rho = estimate_rho eng ~nu_class ~occupied cap i cp in
     entry.estimates.(slot) <- rho;
     rho
   end
@@ -735,13 +705,11 @@ let check_competitive ?(tol = 1e-9) ?(rel_tol = 0.) ~nu ~strategy cps
       let cp = cps.(i) in
       let u_ordinary =
         cp.Cp.v
-        *. estimate_rho eng ~premium:false ~nu_class:nu_o ~occupied:occupied_o
-             cap_o i cp
+        *. estimate_rho eng ~nu_class:nu_o ~occupied:occupied_o cap_o i cp
       in
       let u_premium =
         (cp.Cp.v -. c)
-        *. estimate_rho eng ~premium:true ~nu_class:nu_p ~occupied:occupied_p
-             cap_p i cp
+        *. estimate_rho eng ~nu_class:nu_p ~occupied:occupied_p cap_p i cp
       in
       (* Ties (within the slack) are acceptable in either class; only a
          clear preference for the other class is a violation. *)

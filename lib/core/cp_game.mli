@@ -86,11 +86,10 @@ val solve :
     outcome.
 
     Internally the search runs on an {e engine} that memoises class
-    water levels by partition key, memoises solo-entrant equilibria by
-    population index, and warm-starts every class re-solve after a
-    single-CP move from a one-sided bracket around the previous water
-    level (the level moves monotonically when one CP enters or leaves;
-    DESIGN.md §9).  Class re-solves pass member indices to
+    water levels by partition key and warm-starts every class re-solve
+    after a single-CP move from a one-sided bracket around the previous
+    water level (the level moves monotonically when one CP enters or
+    leaves; DESIGN.md §9).  Class re-solves pass member indices to
     {!Po_model.Equilibrium.subset_level} on the population's market and
     build no solution arrays; those are materialised only for the outcome
     and the Nash pass, and kept in the memo with the entrant estimates

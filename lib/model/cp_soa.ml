@@ -10,7 +10,7 @@
    {!Cp.demand_at} operation for operation, so a column evaluation is
    bit-identical to the boxed-record path; test/test_soa.ml pins it. *)
 
-type t = {
+type t = Soa_columns.t = {
   n : int;
   alpha : float array;
   theta_hat : float array;

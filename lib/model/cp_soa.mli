@@ -16,9 +16,10 @@
     differentially.  {!of_cps} / {!to_cps} convert losslessly (records
     with non-exponential demands are rejected). *)
 
-type t
-(** An immutable SoA population.  Treat the columns as frozen: the
-    accessors never copy, and solver contexts alias them. *)
+type t = Soa_columns.t
+(** An immutable SoA population.  Its columns live in a module private
+    to this library: outside it [t] is abstract, and inside it the
+    equilibrium market aliases the columns rather than copying them. *)
 
 val make :
   alpha:float array -> theta_hat:float array -> beta:float array ->

@@ -11,16 +11,14 @@ let empty =
   { theta = [||]; demand = [||]; rho = [||]; per_capita_rate = 0.;
     congested = false; cap = Float.infinity }
 
-let unit_weights n = Array.make n 1.
+let default_tol = 1e-12
 
-let check_weights_n n weights =
-  if Array.length weights <> n then
+let check_weights cps weights =
+  if Array.length weights <> Array.length cps then
     invalid_arg "Equilibrium: weights length mismatch";
   Array.iter
     (fun w -> if w <= 0. then invalid_arg "Equilibrium: weight <= 0")
     weights
-
-let check_weights cps weights = check_weights_n (Array.length cps) weights
 
 (* Observability counters (DESIGN.md §11).  All are incremented once
    per logical solve/decision, independent of which domain runs the
@@ -36,57 +34,110 @@ let m_hint_used = Po_obs.Metrics.counter "equilibrium.bracket_hint_used"
 
 let m_hint_discarded = Po_obs.Metrics.counter "equilibrium.bracket_hint_discarded"
 
-let theta_at_cap (cp : Cp.t) w cap =
-  if Float.equal cap Float.infinity then cp.Cp.theta_hat
-  else Float.min cp.Cp.theta_hat (w *. cap)
+(* Sort order by (key, original index): ties are ordered by original
+   index so the accumulation order — and with it every downstream bit —
+   is independent of the sort algorithm. *)
+let sort_order keys =
+  let order = Array.init (Array.length keys) Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Float.compare keys.(i) keys.(j) in
+      if c <> 0 then c else Int.compare i j)
+    order;
+  order
 
-let theta_at_cap_col th w cap =
-  if Float.equal cap Float.infinity then th else Float.min th (w *. cap)
+(* ------------------------------------------------------------------ *)
+(* The market: one population's columns (DESIGN.md §12 and §16)       *)
+(* ------------------------------------------------------------------ *)
 
-let aggregate_at_cap ?weights ~cap cps =
-  let weights =
+(* Every solve runs on a market: the population's per-CP constants as
+   unboxed float columns by population index, its (threshold, index)
+   sort order, and each CP's saturated values.  A CP game builds one
+   market per population and re-solves subsets of it thousands of times;
+   [solve] and [solve_soa] build one for a single solve over every
+   index.
+
+   The records stay beside the columns: [cps] is what [market] was built
+   from, read only for the closures of non-exponential demands, and
+   empty for a market built from [Cp_soa] columns (whose demands are all
+   exponential), which aliases those columns and allocates no record.
+   Such a market never leaves this module, so [market_cps] only ever
+   sees record markets.
+
+   Weights (alpha-fair solves) give each CP the threshold
+   [theta_hat /. w] and the level [w *. cap].  At unit weights a
+   threshold is theta_hat itself ([theta_hat /. 1.] and [1. *. cap] are
+   exact), so [thresholds] is the [theta_hat] array and there is no
+   weight column.
+
+   Immutable once built: one market is shared by every solve of a search
+   and, through the pools, by several domains at once, so
+   [subset_context] allocates its scratch per call.
+
+   A market built for one uncongested solve is {e unsorted}: it has no
+   [order] and no [sat_term], which only [subset_context] reads, and the
+   materialiser needs neither.  It never leaves this module either. *)
+type market = {
+  cps : Cp.t array;  (* the records; [||] for a column-built market *)
+  order : int array;  (* population indices by (threshold, index); [||]
+                         when unsorted *)
+  theta_hat : float array;
+  alpha : float array;
+  beta : float array;  (* exponential-family beta; nan for other demands *)
+  weights : float array option;  (* [None]: unit weights *)
+  thresholds : float array;  (* theta_hat /. w; [theta_hat] at unit weights *)
+  sat_demand : float array;  (* d(theta_hat) = [Cp.demand_at cp theta_hat] *)
+  sat_term : float array;  (* alpha *. (sat_demand *. theta_hat) *)
+}
+
+(* [Cp.demand_at] of CP [i] from the columns: the exponential family
+   inlines [Demand.exponential]'s curve from the beta column
+   (bit-identical — see Cp_soa.demand_curve), any other demand calls its
+   closure exactly as the record path does. *)
+let demand_at m i theta =
+  let b = m.beta.(i) in
+  if Float.is_nan b then Cp.demand_at m.cps.(i) theta
+  else
+    let th = m.theta_hat.(i) in
+    Cp_soa.demand_curve ~beta:b (Float.min (Float.max theta 0.) th /. th)
+
+let build_market ~sorted ~cps ~alpha ~theta_hat ~beta weights =
+  let thresholds =
     match weights with
-    | Some w ->
-        check_weights cps w;
-        w
-    | None -> unit_weights (Array.length cps)
+    | None -> theta_hat
+    | Some w -> Array.mapi (fun i th -> th /. w.(i)) theta_hat
   in
-  let acc = ref 0. in
-  Array.iteri
-    (fun i cp ->
-      let theta = theta_at_cap cp weights.(i) cap in
-      acc := !acc +. Cp.lambda_per_capita cp ~theta)
-    cps;
-  !acc
+  let m =
+    { cps; order = (if sorted then sort_order thresholds else [||]);
+      theta_hat; alpha; beta; weights; thresholds; sat_demand = [||];
+      sat_term = [||] }
+  in
+  let sat_demand = Array.mapi (fun i th -> demand_at m i th) theta_hat in
+  { m with
+    sat_demand;
+    sat_term =
+      (if sorted then
+         Array.mapi (fun i d -> alpha.(i) *. (d *. theta_hat.(i))) sat_demand
+       else [||]) }
 
-let of_cap cps weights ~congested cap =
-  let n = Array.length cps in
-  let theta = Array.init n (fun i -> theta_at_cap cps.(i) weights.(i) cap) in
-  let demand = Array.init n (fun i -> Cp.demand_at cps.(i) theta.(i)) in
-  let rho = Array.init n (fun i -> demand.(i) *. theta.(i)) in
-  let per_capita_rate =
-    let acc = ref 0. in
-    Array.iteri (fun i cp -> acc := !acc +. (cp.Cp.alpha *. rho.(i))) cps;
-    !acc
-  in
-  { theta; demand; rho; per_capita_rate; congested; cap }
+let market_of_cps ~sorted ?weights cps =
+  Option.iter (check_weights cps) weights;
+  build_market ~sorted ~cps
+    ~alpha:(Array.map (fun (cp : Cp.t) -> cp.Cp.alpha) cps)
+    ~theta_hat:(Array.map (fun (cp : Cp.t) -> cp.Cp.theta_hat) cps)
+    ~beta:
+      (Array.map
+         (fun (cp : Cp.t) ->
+           Option.value (Demand.beta cp.Cp.demand) ~default:Float.nan)
+         cps)
+    weights
 
-let of_cap_soa soa weights ~congested cap =
-  let n = Cp_soa.length soa in
-  let theta =
-    Array.init n (fun i ->
-        theta_at_cap_col (Cp_soa.theta_hat soa i) weights.(i) cap)
-  in
-  let demand = Array.init n (fun i -> Cp_soa.demand_at soa i theta.(i)) in
-  let rho = Array.init n (fun i -> demand.(i) *. theta.(i)) in
-  let per_capita_rate =
-    let acc = ref 0. in
-    for i = 0 to n - 1 do
-      acc := !acc +. (Cp_soa.alpha soa i *. rho.(i))
-    done;
-    !acc
-  in
-  { theta; demand; rho; per_capita_rate; congested; cap }
+let market cps = market_of_cps ~sorted:true cps
+
+let market_cps m = m.cps
+
+(* A saturated CP's rate, [Cp.rho cp ~theta:theta_hat]. *)
+let saturated_rho m i = m.sat_demand.(i) *. m.theta_hat.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Sorted-prefix solver context (structure-of-arrays, DESIGN.md §12)  *)
@@ -101,15 +152,14 @@ let of_cap_soa soa weights ~congested cap =
    costs O(log n + #unsaturated) instead of O(n); in paper ensembles the
    water level sits above most thresholds, leaving a short tail.
 
-   Since the million-CP tier (DESIGN.md §12) the context stores the
-   sorted population as unboxed float {e columns} rather than boxed
-   [Cp.t] records: the tail loop touches flat arrays only, and for the
-   exponential demand family the curve is evaluated inline from the
-   [beta] column with no closure call.  Every float operation replicates
-   the record path's sequence exactly, so the column evaluator is
-   bit-identical to the retained record-based reference evaluator; the
-   accumulation order is the sorted one (saturated prefix first, then
-   the unsaturated tail) in both.  See DESIGN.md §9 and §12. *)
+   The context stores the sorted members as unboxed float {e columns}:
+   the tail loop touches flat arrays only, and for the exponential
+   demand family the curve is evaluated inline from the [beta] column
+   with no closure call.  Every float operation replicates the record
+   path's sequence exactly, so the column evaluator is bit-identical to
+   the retained record-based reference evaluator; the accumulation order
+   is the sorted one (saturated prefix first, then the unsaturated tail)
+   in both.  See DESIGN.md §9 and §12. *)
 type demand_col =
   | Dexp of float array
       (* per-sorted-position beta of the exponential family *)
@@ -117,112 +167,78 @@ type demand_col =
 
 type context = {
   thresholds : float array;  (* ascending theta_hat_i / w_i *)
-  sat : float array;  (* contribution of sorted CP s once saturated *)
-  sat_prefix : float array;  (* sat_prefix.(k) = left fold of sat.(0..k-1) *)
+  sat_prefix : float array;  (* left fold of the first k saturated terms *)
   s_alpha : float array;  (* sorted alpha column *)
   s_theta_hat : float array;  (* sorted theta_hat column *)
-  s_weights : float array;  (* sorted weight column *)
+  s_weights : float array option;  (* sorted weight column; [None]: unit *)
   s_demand : demand_col;  (* sorted demand parameters *)
 }
 
-(* Sort order by (key, original index): ties are ordered by original
-   index so the accumulation order — and with it every downstream bit —
-   is independent of the sort algorithm. *)
-let sort_order keys =
-  let order = Array.init (Array.length keys) Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Float.compare keys.(i) keys.(j) in
-      if c <> 0 then c else Int.compare i j)
-    order;
-  order
-
-(* Demand value of sorted position [s] at a clamped throughput ratio
-   [omega]; the [Dexp] arm inlines [Demand.exponential]'s curve
-   (bit-identical — see Cp_soa.demand_curve), the [Dfun] arm calls the
-   stored closure exactly as the record path did. *)
-let demand_value demand s omega =
-  match demand with
-  | Dexp betas -> Cp_soa.demand_curve ~beta:betas.(s) omega
-  | Dfun demands -> Demand.eval demands.(s) omega
-
-(* One cap-dependent tail term: exactly [Cp.lambda_per_capita cp
-   ~theta:(theta_at_cap cp w cap)] of the record path, rebuilt from
-   columns — same clamps, same operation order. *)
-let tail_term ctx s cap =
-  let th = ctx.s_theta_hat.(s) in
-  let theta0 = theta_at_cap_col th ctx.s_weights.(s) cap in
-  (* [Cp.cap_theta]'s clamp, idempotent here but kept for bit parity. *)
-  let theta = Float.min (Float.max theta0 0.) th in
-  let d = demand_value ctx.s_demand s (theta /. th) in
-  ctx.s_alpha.(s) *. (d *. theta)
-
-let build_context ~n ~alpha ~theta_hat ~weights ~demand =
-  let keys = Array.init n (fun i -> theta_hat i /. weights.(i)) in
-  let order = sort_order keys in
-  let ctx =
-    { thresholds = Array.map (Array.get keys) order; sat = [||];
-      sat_prefix = [||]; s_alpha = Array.map alpha order;
-      s_theta_hat = Array.map theta_hat order;
-      s_weights = Array.map (Array.get weights) order; s_demand = demand order }
+(* The context of the members (strictly ascending population indices),
+   in one pass over the market's order and columns: filtering the
+   population order yields exactly the (threshold, index) order of the
+   members, and the cached saturated terms are the tail terms of
+   [aggregate_sorted] at an infinite level.  The whole population takes the
+   market's order as is, and one member needs no filtering.  At unit
+   weights the threshold column is the theta_hat column and there is no
+   weight column, so no extra column is gathered. *)
+let subset_context m members =
+  let k = Array.length members in
+  let n = Array.length m.order in
+  let s_theta_hat = Array.make k 0. in
+  let s_alpha = Array.make k 0. in
+  let sat_prefix = Array.make (k + 1) 0. in
+  let betas = Array.make k 0. in
+  let thresholds, s_weights =
+    match m.weights with
+    | None -> (s_theta_hat, None)
+    | Some _ -> (Array.make k 0., Some (Array.make k 0.))
   in
-  (* Saturated contribution = the tail term at an infinite water level
-     (theta pinned to theta_hat), exactly the record path's
-     [Cp.lambda_per_capita cp ~theta:theta_hat]. *)
-  let sat = Array.init n (fun s -> tail_term ctx s Float.infinity) in
-  let sat_prefix = Array.make (n + 1) 0. in
-  for s = 0 to n - 1 do
-    sat_prefix.(s + 1) <- sat_prefix.(s) +. sat.(s)
-  done;
-  { ctx with sat; sat_prefix }
-
-let context ?weights cps =
-  let n = Array.length cps in
-  let weights =
-    match weights with
-    | Some w ->
-        check_weights cps w;
-        w
-    | None -> unit_weights n
+  let exponential = ref true in
+  let place s i =
+    s_theta_hat.(s) <- m.theta_hat.(i);
+    s_alpha.(s) <- m.alpha.(i);
+    (match (m.weights, s_weights) with
+    | Some w, Some s_w ->
+        thresholds.(s) <- m.thresholds.(i);
+        s_w.(s) <- w.(i)
+    | _ -> ());
+    let b = m.beta.(i) in
+    if Float.is_nan b then exponential := false;
+    betas.(s) <- b;
+    sat_prefix.(s + 1) <- sat_prefix.(s) +. m.sat_term.(i)
   in
-  (* The exponential family gets the closure-free column evaluator; any
-     other demand keeps its closure (both arms are bit-identical to the
-     record path, the Dexp one is just faster). *)
-  let all_exponential =
-    Array.for_all (fun (cp : Cp.t) -> Option.is_some (Demand.beta cp.Cp.demand))
-      cps
+  let order =
+    if k = n then begin
+      Array.iteri place m.order;
+      m.order
+    end
+    else if k = 1 then begin
+      place 0 members.(0);
+      members
+    end
+    else begin
+      let order = Array.make k 0 in
+      let mark = Bytes.make n '\000' in
+      for p = 0 to k - 1 do
+        Bytes.set mark members.(p) '\001'
+      done;
+      let s = ref 0 in
+      for r = 0 to n - 1 do
+        let i = m.order.(r) in
+        if Bytes.get mark i <> '\000' then begin
+          order.(!s) <- i;
+          place !s i;
+          incr s
+        end
+      done;
+      order
+    end
   in
-  let demand order =
-    if all_exponential then
-      Dexp
-        (Array.map
-           (fun i ->
-             match Demand.beta cps.(i).Cp.demand with
-             | Some b -> b
-             | None -> 0. (* unreachable: all_exponential *))
-           order)
-    else Dfun (Array.map (fun i -> cps.(i).Cp.demand) order)
-  in
-  build_context ~n
-    ~alpha:(fun i -> cps.(i).Cp.alpha)
-    ~theta_hat:(fun i -> cps.(i).Cp.theta_hat)
-    ~weights ~demand
-
-let context_soa ?weights soa =
-  let n = Cp_soa.length soa in
-  let weights =
-    match weights with
-    | Some w ->
-        check_weights_n n w;
-        w
-    | None -> unit_weights n
-  in
-  build_context ~n
-    ~alpha:(Cp_soa.alpha soa)
-    ~theta_hat:(Cp_soa.theta_hat soa)
-    ~weights
-    ~demand:(fun order ->
-      Dexp (Array.map (fun i -> Cp_soa.beta soa i) order))
+  { thresholds; sat_prefix; s_alpha; s_theta_hat; s_weights;
+    s_demand =
+      (if !exponential then Dexp betas
+       else Dfun (Array.map (fun i -> m.cps.(i).Cp.demand) order)) }
 
 (* Number of sorted CPs whose threshold is <= cap (first sorted position
    strictly above the water level). *)
@@ -235,26 +251,29 @@ let saturated_count thresholds cap =
   !lo
 
 (* Optimized evaluator: prefix-sum lookup + unsaturated tail over flat
-   columns. *)
+   columns.  Each tail term is exactly [Cp.lambda_per_capita cp
+   ~theta:(min theta_hat (w *. cap))] of the record path, rebuilt from
+   columns — same clamps, same operation order; the [Dexp] arm inlines
+   [Demand.exponential]'s curve, the [Dfun] arm calls the stored closure
+   exactly as the record path does. *)
 let aggregate_sorted ctx ~cap =
   let n = Array.length ctx.thresholds in
   let k = saturated_count ctx.thresholds cap in
   let acc = ref ctx.sat_prefix.(k) in
-  (match ctx.s_demand with
-  | Dexp betas ->
-      (* Hot loop of the large-n tier: flat float-array reads and one
-         inlined curve evaluation per unsaturated CP. *)
-      for s = k to n - 1 do
-        let th = ctx.s_theta_hat.(s) in
-        let theta0 = theta_at_cap_col th ctx.s_weights.(s) cap in
-        let theta = Float.min (Float.max theta0 0.) th in
-        let d = Cp_soa.demand_curve ~beta:betas.(s) (theta /. th) in
-        acc := !acc +. (ctx.s_alpha.(s) *. (d *. theta))
-      done
-  | Dfun _ ->
-      for s = k to n - 1 do
-        acc := !acc +. tail_term ctx s cap
-      done);
+  for s = k to n - 1 do
+    let th = ctx.s_theta_hat.(s) in
+    let wcap =
+      match ctx.s_weights with None -> cap | Some w -> w.(s) *. cap
+    in
+    (* [Cp.cap_theta]'s clamp, idempotent here but kept for bit parity. *)
+    let theta = Float.min (Float.max (Float.min th wcap) 0.) th in
+    let d =
+      match ctx.s_demand with
+      | Dexp betas -> Cp_soa.demand_curve ~beta:betas.(s) (theta /. th)
+      | Dfun demands -> Demand.eval demands.(s) (theta /. th)
+    in
+    acc := !acc +. (ctx.s_alpha.(s) *. (d *. theta))
+  done;
   !acc
 
 (* ------------------------------------------------------------------ *)
@@ -282,8 +301,9 @@ let aggregate_sorted ctx ~cap =
    given, so neither changes a bit of the result.
 
    [aggregate] closes over its own population data (column context or
-   the reference's record context); only [thresholds] is needed here. *)
-let congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu =
+   the reference's record context); only [thresholds] is needed here.
+   The absolute tolerance on the water level is [default_tol]. *)
+let congested_cap ~thresholds ~aggregate ~bracket ~nu =
   let n = Array.length thresholds in
   let grid_point k = if k = 0 then 0. else thresholds.(k - 1) in
   let g cap = aggregate ~cap -. nu in
@@ -354,8 +374,8 @@ let congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu =
     while !hi - !lo > 1 do
       ignore (below ((!lo + !hi) / 2))
     done;
-    Po_num.Roots.brent ~tol ~max_iter:200 ?f_lo:!g_lo ?f_hi:!g_hi ~f:g
-      ~lo:(grid_point !lo) ~hi:(grid_point !hi) ()
+    Po_num.Roots.brent ~tol:default_tol ~max_iter:200 ?f_lo:!g_lo
+      ?f_hi:!g_hi ~f:g ~lo:(grid_point !lo) ~hi:(grid_point !hi) ()
   end
 
 (* Shared congested-solve flow: fault site, context frames, the segment
@@ -368,7 +388,7 @@ let congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu =
    evaluation.  [None] costs nothing.  The frames are built only on the
    way out of a failure: formatting [nu] costs about a microsecond,
    which a small class solve cannot afford on every call. *)
-let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
+let solve_congested ?budget ~thresholds ~aggregate ~bracket ~nu ~n () =
   let aggregate =
     match budget with
     | None -> aggregate
@@ -391,7 +411,7 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
          { residual = Float.infinity; iterations = 0 });
   let outcome =
     Po_guard.Po_error.with_context frames (fun () ->
-        congested_cap ~thresholds ~aggregate ~bracket ~tol ~nu)
+        congested_cap ~thresholds ~aggregate ~bracket ~nu)
   in
   (* The seed discarded [converged] and used the last iterate; a
      water level that silently missed its tolerance would poison
@@ -404,203 +424,15 @@ let solve_congested ?budget ~thresholds ~aggregate ~bracket ~tol ~nu ~n () =
            iterations = outcome.Po_num.Roots.iterations });
   outcome.Po_num.Roots.root
 
-(* The congested solve on a sorted-prefix context: every column front
-   end ([solve], [solve_soa], [solve_subset]) goes through here. *)
-let solve_context ?budget ~context ~bracket ~tol ~nu ~n () =
-  solve_congested ?budget ~thresholds:context.thresholds
-    ~aggregate:(fun ~cap -> aggregate_sorted context ~cap)
-    ~bracket ~tol ~nu ~n ()
-
-let default_tol = 1e-12
-
-let solve ?budget ?context:ctx ?bracket ?weights ?(tol = default_tol) ~nu cps =
-  if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
-  let n = Array.length cps in
-  if n = 0 then empty
-  else begin
-    Po_obs.Metrics.incr m_solves;
-    let weights =
-      match weights with
-      | Some w ->
-          check_weights cps w;
-          w
-      | None -> unit_weights n
-    in
-    let unconstrained =
-      Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps
-    in
-    if nu >= unconstrained then begin
-      Po_obs.Metrics.incr m_uncongested;
-      of_cap cps weights ~congested:false Float.infinity
-    end
-    else begin
-      let context =
-        match ctx with Some c -> c | None -> context ~weights cps
-      in
-      of_cap cps weights ~congested:true
-        (solve_context ?budget ~context ~bracket ~tol ~nu ~n ())
-    end
-  end
-
-let solve_soa ?budget ?context:ctx ?bracket ?weights ?(tol = default_tol) ~nu
-    soa =
-  if nu < 0. then invalid_arg "Equilibrium.solve_soa: nu < 0";
-  let n = Cp_soa.length soa in
-  if n = 0 then empty
-  else begin
-    Po_obs.Metrics.incr m_solves;
-    let weights =
-      match weights with
-      | Some w ->
-          check_weights_n n w;
-          w
-      | None -> unit_weights n
-    in
-    let unconstrained =
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        acc := !acc +. Cp_soa.lambda_hat_per_capita soa i
-      done;
-      !acc
-    in
-    if nu >= unconstrained then begin
-      Po_obs.Metrics.incr m_uncongested;
-      of_cap_soa soa weights ~congested:false Float.infinity
-    end
-    else begin
-      let context =
-        match ctx with Some c -> c | None -> context_soa ~weights soa
-      in
-      of_cap_soa soa weights ~congested:true
-        (solve_context ?budget ~context ~bracket ~tol ~nu ~n ())
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Market context: one population, many class solves (DESIGN.md §16)  *)
+(* The solve path: market -> context -> level -> materialiser         *)
 (* ------------------------------------------------------------------ *)
 
-(* A CP game re-solves its two classes thousands of times, and every
-   class is a subset of one fixed population.  The market holds what a
-   class solve would otherwise recompute per member on every call: the
-   population's (theta_hat, index) order and each CP's saturated values.
-   All unit weights, so a threshold is theta_hat itself
-   ([theta_hat /. 1.] and [1. *. cap] are exact).
-
-   Immutable once built: one market is shared by every solve of a search
-   and, through the pools, by several domains at once, so
-   [subset_context] allocates its scratch per call. *)
-type market = {
-  cps : Cp.t array;
-  order : int array;  (* population indices by (theta_hat, index) *)
-  (* Columns by population index: *)
-  theta_hat : float array;
-  alpha : float array;
-  sat_term : float array;  (* alpha d(theta_hat) theta_hat *)
-  sat_demand : float array;  (* d(theta_hat) = [Cp.demand_at cp theta_hat] *)
-  sat_rho : float array;  (* sat_demand *. theta_hat *)
-  beta : float array;  (* exponential-family beta; nan for other demands *)
-  unit : float array;  (* n ones: the weight column of every subset *)
-}
-
-let market cps =
-  let theta_hat = Array.map (fun (cp : Cp.t) -> cp.Cp.theta_hat) cps in
-  let alpha = Array.map (fun (cp : Cp.t) -> cp.Cp.alpha) cps in
-  let sat_demand =
-    Array.map (fun (cp : Cp.t) -> Cp.demand_at cp cp.Cp.theta_hat) cps
-  in
-  let sat_rho = Array.mapi (fun i d -> d *. theta_hat.(i)) sat_demand in
-  { cps; order = sort_order theta_hat; theta_hat; alpha; sat_demand; sat_rho;
-    sat_term = Array.mapi (fun i r -> alpha.(i) *. r) sat_rho;
-    beta =
-      Array.map
-        (fun (cp : Cp.t) ->
-          Option.value (Demand.beta cp.Cp.demand) ~default:Float.nan)
-        cps;
-    unit = unit_weights (Array.length cps) }
-
-let market_cps m = m.cps
-
-let saturated_rho m i = m.sat_rho.(i)
-
-(* The context [context] would build on the member array, in one pass
-   over the market's columns: members are in ascending population index,
-   so filtering the population order yields exactly [sort_order] of the
-   member array (one member needs no filtering), and the cached saturated
-   terms are the values [tail_term] computes at an infinite level.  At
-   unit weights a threshold is theta_hat itself, so the two columns are
-   one array. *)
-let subset_context m members =
-  let k = Array.length members in
-  let s_theta_hat = Array.make k 0. in
-  let s_alpha = Array.make k 0. in
-  let sat = Array.make k 0. in
-  let sat_prefix = Array.make (k + 1) 0. in
-  let betas = Array.make k 0. in
-  let order = if k = 1 then members else Array.make k 0 in
-  let exponential = ref true in
-  let place s i =
-    s_theta_hat.(s) <- m.theta_hat.(i);
-    s_alpha.(s) <- m.alpha.(i);
-    let b = m.beta.(i) in
-    if Float.is_nan b then exponential := false;
-    betas.(s) <- b;
-    sat.(s) <- m.sat_term.(i);
-    sat_prefix.(s + 1) <- sat_prefix.(s) +. sat.(s)
-  in
-  if k = 1 then place 0 members.(0)
-  else begin
-    let mark = Bytes.make (Array.length m.cps) '\000' in
-    for p = 0 to k - 1 do
-      Bytes.set mark members.(p) '\001'
-    done;
-    let s = ref 0 in
-    for r = 0 to Array.length m.order - 1 do
-      let i = m.order.(r) in
-      if Bytes.get mark i <> '\000' then begin
-        order.(!s) <- i;
-        place !s i;
-        incr s
-      end
-    done
-  end;
-  { thresholds = s_theta_hat; sat; sat_prefix; s_alpha; s_theta_hat;
-    s_weights = m.unit;
-    s_demand =
-      (if !exponential then Dexp betas
-       else Dfun (Array.map (fun i -> m.cps.(i).Cp.demand) order)) }
-
-(* [of_cap] on the members at unit weights: a member saturated at [cap]
-   (theta_hat <= cap, always at an infinite level) takes its cached
-   values, the same expressions [of_cap] evaluates. *)
-let of_cap_subset m members ~congested cap =
-  let k = Array.length members in
-  let theta = Array.make k 0. in
-  let demand = Array.make k 0. in
-  let rho = Array.make k 0. in
-  let per_capita_rate = ref 0. in
-  Array.iteri
-    (fun p i ->
-      let cp = m.cps.(i) in
-      if cp.Cp.theta_hat <= cap then begin
-        theta.(p) <- cp.Cp.theta_hat;
-        demand.(p) <- m.sat_demand.(i);
-        rho.(p) <- m.sat_rho.(i)
-      end
-      else begin
-        let t = theta_at_cap cp 1. cap in
-        let d = Cp.demand_at cp t in
-        theta.(p) <- t;
-        demand.(p) <- d;
-        rho.(p) <- d *. t
-      end;
-      per_capita_rate := !per_capita_rate +. (cp.Cp.alpha *. rho.(p)))
-    members;
-  { theta; demand; rho; per_capita_rate = !per_capita_rate; congested; cap }
-
-let subset_level ?bracket ~nu m members =
+(* The level of the members of [m], as [(congested, cap)]: validation,
+   counters, and the congested solve on their sorted context. *)
+let level ?budget ?bracket ~nu m members =
   if nu < 0. then invalid_arg "Equilibrium.solve_subset: nu < 0";
-  let n = Array.length m.cps in
+  let n = Array.length m.theta_hat in
   let unconstrained = ref 0. in
   Array.iteri
     (fun p i ->
@@ -617,26 +449,93 @@ let subset_level ?bracket ~nu m members =
       Po_obs.Metrics.incr m_uncongested;
       (false, Float.infinity)
     end
-    else
+    else begin
+      let context = subset_context m members in
       ( true,
-        solve_context ~context:(subset_context m members) ~bracket
-          ~tol:default_tol ~nu ~n:k () )
+        solve_congested ?budget ~thresholds:context.thresholds
+          ~aggregate:(fun ~cap -> aggregate_sorted context ~cap)
+          ~bracket ~nu ~n:k () )
+    end
   end
 
-let solve_subset ?bracket ~nu m members =
-  let congested, cap = subset_level ?bracket ~nu m members in
+let subset_level ?bracket ~nu m members = level ?bracket ~nu m members
+
+(* The one materialiser: the members' throughputs, demands and rates at
+   water level [cap], in [members] order, where a member of weight [w]
+   has throughput [min theta_hat (w *. cap)].  A member with
+   [theta_hat <= w *. cap] (every member at an infinite level) is
+   saturated and takes the market's cached values, the same expressions
+   evaluated once; testing the threshold [theta_hat /. w <= cap] instead
+   could round the other way.  Any other member runs at [w *. cap]. *)
+let of_cap_subset m members ~congested cap =
+  let k = Array.length members in
+  let theta = Array.make k 0. in
+  let demand = Array.make k 0. in
+  let rho = Array.make k 0. in
+  let per_capita_rate = ref 0. in
+  Array.iteri
+    (fun p i ->
+      let th = m.theta_hat.(i) in
+      let wcap = match m.weights with None -> cap | Some w -> w.(i) *. cap in
+      if th <= wcap then begin
+        theta.(p) <- th;
+        demand.(p) <- m.sat_demand.(i);
+        rho.(p) <- saturated_rho m i
+      end
+      else begin
+        let d = demand_at m i wcap in
+        theta.(p) <- wcap;
+        demand.(p) <- d;
+        rho.(p) <- d *. wcap
+      end;
+      per_capita_rate := !per_capita_rate +. (m.alpha.(i) *. rho.(p)))
+    members;
+  { theta; demand; rho; per_capita_rate = !per_capita_rate; congested; cap }
+
+let solve_members ?budget ?bracket ~nu m members =
+  let congested, cap = level ?budget ?bracket ~nu m members in
   of_cap_subset m members ~congested cap
+
+let solve_subset ?bracket ~nu m members = solve_members ?bracket ~nu m members
+
+(* A solve over every index of a market built for it.  [unconstrained]
+   is the population's aggregate at an infinite level, summed in index
+   order exactly as [level] sums it: when [level] will find the solve
+   uncongested the market is built unsorted, so the solve costs no sort. *)
+let solve_all ?budget ?bracket ~nu ~unconstrained build =
+  let m = build ~sorted:(not (nu >= unconstrained)) in
+  solve_members ?budget ?bracket ~nu m
+    (Array.init (Array.length m.theta_hat) Fun.id)
+
+let solve ?budget ?bracket ?weights ~nu cps =
+  if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
+  solve_all ?budget ?bracket ~nu
+    ~unconstrained:
+      (Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps)
+    (fun ~sorted -> market_of_cps ~sorted ?weights cps)
+
+let solve_soa ~nu (soa : Cp_soa.t) =
+  if nu < 0. then invalid_arg "Equilibrium.solve_soa: nu < 0";
+  let unconstrained = ref 0. in
+  for i = 0 to soa.n - 1 do
+    unconstrained := !unconstrained +. Cp_soa.lambda_hat_per_capita soa i
+  done;
+  solve_all ~nu ~unconstrained:!unconstrained (fun ~sorted ->
+      build_market ~sorted ~cps:[||] ~alpha:soa.alpha ~theta_hat:soa.theta_hat
+        ~beta:soa.beta None)
 
 (* ------------------------------------------------------------------ *)
 (* Record-based reference solver (retained, DESIGN.md §9 and §12)     *)
 (* ------------------------------------------------------------------ *)
 
-(* The reference path deliberately keeps boxed [Cp.t] records and walks
+(* The reference level deliberately keeps boxed [Cp.t] records and walks
    all [n] of them on every aggregate evaluation, deriving each term
    through the record accessors with no prefix table and no inlined
    demand curve.  It is the anchor of the bit-identity contract: the
-   column paths above must agree with it bit for bit on every input
-   (test/test_perf_kernel.ml, test/test_soa.ml). *)
+   column path above must find the same level bit for bit on every input
+   (test/test_perf_kernel.ml, test/test_soa.ml).  It materialises the
+   solution at that level on its own, by the record formula, so the same
+   tests check the market's materialiser too. *)
 type reference_context = {
   r_thresholds : float array;
   r_sat : float array;
@@ -660,8 +559,8 @@ let reference_context weights cps =
 
 (* Reference evaluator: same branch condition and accumulation order as
    [aggregate_sorted] — the saturated CPs form a prefix of the sorted
-   order and [sat_prefix] folds exactly their [sat] values — so the two
-   are bit-identical by construction. *)
+   order and [sat_prefix] folds exactly their saturated terms — so the
+   two are bit-identical by construction. *)
 let aggregate_sorted_reference rctx ~cap =
   let n = Array.length rctx.r_thresholds in
   let acc = ref 0. in
@@ -669,49 +568,56 @@ let aggregate_sorted_reference rctx ~cap =
     let cp = rctx.r_cps.(s) in
     if rctx.r_thresholds.(s) <= cap then acc := !acc +. rctx.r_sat.(s)
     else begin
-      let theta = theta_at_cap cp rctx.r_weights.(s) cap in
+      let theta = Float.min cp.Cp.theta_hat (rctx.r_weights.(s) *. cap) in
       acc := !acc +. Cp.lambda_per_capita cp ~theta
     end
   done;
   !acc
 
-let solve_reference ?weights ?(tol = default_tol) ~nu cps =
+(* The record formula from the records alone, by population index:
+   [theta_i = min theta_hat_i (w_i cap)] ([theta_hat_i] at an infinite
+   level), [d_i = Cp.demand_at], [rho_i = d_i theta_i], and the
+   alpha-weighted rate summed in index order. *)
+let reference_solution weights cps ~congested cap =
+  let theta =
+    Array.mapi
+      (fun i (cp : Cp.t) ->
+        if Float.equal cap Float.infinity then cp.Cp.theta_hat
+        else Float.min cp.Cp.theta_hat (weights.(i) *. cap))
+      cps
+  in
+  let demand = Array.mapi (fun i cp -> Cp.demand_at cp theta.(i)) cps in
+  let rho = Array.mapi (fun i d -> d *. theta.(i)) demand in
+  let per_capita_rate = ref 0. in
+  Array.iteri
+    (fun i (cp : Cp.t) ->
+      per_capita_rate := !per_capita_rate +. (cp.Cp.alpha *. rho.(i)))
+    cps;
+  { theta; demand; rho; per_capita_rate = !per_capita_rate; congested; cap }
+
+let solve_reference ?weights ~nu cps =
   if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
   let n = Array.length cps in
   if n = 0 then empty
   else begin
+    Option.iter (check_weights cps) weights;
+    let weights = Option.value weights ~default:(Array.make n 1.) in
     Po_obs.Metrics.incr m_solves;
-    let weights =
-      match weights with
-      | Some w ->
-          check_weights cps w;
-          w
-      | None -> unit_weights n
-    in
     let unconstrained =
       Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps
     in
-    if nu >= unconstrained then begin
-      Po_obs.Metrics.incr m_uncongested;
-      of_cap cps weights ~congested:false Float.infinity
-    end
-    else begin
-      let rctx = reference_context weights cps in
-      let cap =
-        solve_congested ~thresholds:rctx.r_thresholds
-          ~aggregate:(fun ~cap -> aggregate_sorted_reference rctx ~cap)
-          ~bracket:None ~tol ~nu ~n ()
-      in
-      of_cap cps weights ~congested:true cap
-    end
+    let congested, cap =
+      if nu >= unconstrained then begin
+        Po_obs.Metrics.incr m_uncongested;
+        (false, Float.infinity)
+      end
+      else begin
+        let rctx = reference_context weights cps in
+        ( true,
+          solve_congested ~thresholds:rctx.r_thresholds
+            ~aggregate:(fun ~cap -> aggregate_sorted_reference rctx ~cap)
+            ~bracket:None ~nu ~n () )
+      end
+    in
+    reference_solution weights cps ~congested cap
   end
-
-let solve_absolute ?budget ?weights ?tol ~m ~mu cps =
-  if m <= 0. then invalid_arg "Equilibrium.solve_absolute: m <= 0";
-  if mu < 0. then invalid_arg "Equilibrium.solve_absolute: mu < 0";
-  solve ?budget ?weights ?tol ~nu:(mu /. m) cps
-
-let theta_for sol i =
-  if i < 0 || i >= Array.length sol.theta then
-    invalid_arg "Equilibrium.theta_for: index out of bounds";
-  sol.theta.(i)

@@ -18,34 +18,35 @@
     whose left side is continuous and non-decreasing in [cap] under
     Assumption 1, so root-finding converges to the unique solution.
 
-    {b Kernel layout (DESIGN.md §9 and §12).}  The solver presorts CPs
-    by saturation threshold [theta_hat_i / w_i] and prefix-sums their
-    saturated contributions, making every aggregate evaluation a binary
-    search plus a loop over only the unsaturated tail.  Since the
-    million-CP tier the {!context} holds the sorted population as
-    unboxed float columns (structure of arrays): the tail loop reads
-    flat arrays and, for exponential-family demands, evaluates the curve
-    inline with no closure call — whether the population arrived as
-    records ({!solve}) or as a {!Cp_soa.t} ({!solve_soa}).  The root is
-    located in two stages: a binary search over the threshold grid pins
-    the canonical segment containing the sign change, then Brent runs
-    inside that segment.  Because the segment is canonical, a [?bracket]
-    hint (or its absence) can only change {e how fast} the segment is
-    found, never the segment itself — warm-started solves are
+    {b One store, one path (DESIGN.md §9, §12 and §16).}  Every solve
+    runs on a {!market}: the population's per-CP constants as unboxed
+    float columns by population index, its sort order by saturation
+    threshold [theta_hat_i / w_i], and each CP's saturated demand and
+    aggregate term, computed once.  {!solve} builds a market from
+    records, {!solve_soa} from {!Cp_soa.t} columns (allocating no
+    record), and a CP game builds one per population and re-solves
+    subsets of it ({!solve_subset}).  All of them then take one path:
+    the members' sorted context (filtered from the market's order, or
+    that order as is for the whole population), the water level, and
+    one materialiser.  An uncongested {!solve} or {!solve_soa} needs no
+    level, so its market is built without the sort.
+
+    The context prefix-sums the saturated contributions, so every
+    aggregate evaluation is a binary search plus a loop over the
+    unsaturated tail only, evaluating exponential-family demands inline
+    with no closure call.  The root is located in two stages: a binary
+    search over the threshold grid pins the canonical segment containing
+    the sign change, then Brent runs inside it, to the absolute
+    tolerance [1e-12] on the level.  Because the segment is canonical, a
+    [?bracket] hint (or its absence) can only change {e how fast} the
+    segment is found, never the segment itself — warm-started solves are
     bit-identical to cold ones, and both are bit-identical to
     {!solve_reference}, which deliberately keeps boxed records and
     closure-based demand evaluation.
 
-    {b Market context (DESIGN.md §16).}  A CP game solves subsets of one
-    population thousands of times.  {!market} sorts that population and
-    caches each CP's saturated terms once; {!solve_subset} then builds a
-    subset's context by filtering the market's order, with no sort and
-    no demand evaluation for the saturated terms, and returns the
-    bits {!solve} returns on the member array.
-
     All quantities are per-capita ([nu = mu / M]); Lemma 1 (independence of
     scale) is then true by construction, and absolute systems [(M, mu)] are
-    handled by dividing. *)
+    handled by dividing ({!Alloc.solve_absolute}). *)
 
 type solution = {
   theta : float array;  (** achievable throughput per CP *)
@@ -59,52 +60,26 @@ type solution = {
 val empty : solution
 (** Equilibrium of a system with no CPs. *)
 
-val aggregate_at_cap :
-  ?weights:float array -> cap:float -> Cp.t array -> float
-(** Per-capita aggregate throughput [sum_i alpha_i d_i(theta_i) theta_i]
-    when every CP is throttled at [min (theta_hat_i, w_i * cap)], summed
-    in CP-array order (the pre-optimization accumulation; retained for
-    external callers and for audits of the solver's work-conservation
-    residual). *)
-
-type context
-(** Presorted saturation thresholds and prefix-summed saturated
-    contributions for a fixed population and weight vector — the
-    per-solve setup work, reusable across solves over the same CPs. *)
-
-val context : ?weights:float array -> Cp.t array -> context
-(** Build the sorted-prefix context.  [weights] defaults to all ones and
-    must match the [weights] later passed to {!solve} alongside this
-    context. *)
-
-val context_soa : ?weights:float array -> Cp_soa.t -> context
-(** {!context} built directly from SoA columns — no record
-    materialisation; for equal populations the resulting context is
-    bit-equivalent to [context (Cp_soa.to_cps soa)]. *)
-
 val solve :
-  ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
-  ?weights:float array -> ?tol:float -> nu:float -> Cp.t array -> solution
-(** Compute the rate equilibrium of the per-capita system [(nu, cps)].
+  ?budget:Po_sup.Budget.t -> ?bracket:float * float -> ?weights:float array ->
+  nu:float -> Cp.t array -> solution
+(** Compute the rate equilibrium of the per-capita system [(nu, cps)]:
+    {!solve_subset} over every index of the population's market.
     [weights] defaults to all ones (max-min fairness); entries must be
-    [> 0].  [nu >= 0].  [tol] (default [1e-12]) is the absolute tolerance
-    on the water level.
+    [> 0].  [nu >= 0].
 
-    [context] reuses a presorted {!context} built from the same [cps] and
-    [weights] (unchecked — a mismatched context silently solves the wrong
-    system).  [bracket] is a warm-start hint [(lo, hi)] for the water
-    level, typically the previous solve's cap padded to the known side of
-    a monotone perturbation; a hint that does not straddle the root is
+    [bracket] is a warm-start hint [(lo, hi)] for the water level,
+    typically the previous solve's cap padded to the known side of a
+    monotone perturbation; a hint that does not straddle the root is
     detected in two probes and discarded, and {e any} hint — valid,
     invalid, or absent — yields bit-identical output.
 
     Failure travels the typed error channel (DESIGN.md §10): an
     unbracketable work-conservation equation raises
-    [Po_guard.Po_error.Error] with kind [No_bracket] (the seed raised
-    {!Po_num.Roots.No_bracket}), and a Brent run that exhausts its
-    iteration budget raises kind [Non_convergence] instead of silently
-    returning the last iterate.  Context frames carry the solver name,
-    [nu] and the population size.
+    [Po_guard.Po_error.Error] with kind [No_bracket], and a Brent run
+    that exhausts its iteration budget raises kind [Non_convergence]
+    instead of silently returning the last iterate.  Context frames
+    carry the solver name, [nu] and the population size.
 
     [budget] is a [Po_sup.Budget] deadline/cancellation token
     (DESIGN.md §13), checked cooperatively at every aggregate
@@ -113,23 +88,22 @@ val solve :
     with the same context frames.  A budget never changes a completed
     solve's output. *)
 
-val solve_soa :
-  ?budget:Po_sup.Budget.t -> ?context:context -> ?bracket:float * float ->
-  ?weights:float array -> ?tol:float -> nu:float -> Cp_soa.t -> solution
-(** {!solve} over a structure-of-arrays population: no [Cp.t] records
-    are allocated anywhere on the solve path, which is what lets the
-    n = 10^6 tier run with bounded memory.  Bit-identical to
-    [solve ~nu (Cp_soa.to_cps soa)] on every input (test/test_soa.ml);
-    same option semantics, error taxonomy and observability counters as
-    {!solve}. *)
+val solve_soa : nu:float -> Cp_soa.t -> solution
+(** {!solve} over a structure-of-arrays population, through a market
+    built straight from its columns: no [Cp.t] records are allocated
+    anywhere on the solve path, which is what lets the n = 10^6 tier run
+    with bounded memory.  Bit-identical to [solve ~nu (Cp_soa.to_cps
+    soa)] on every input (test/test_soa.ml); same error taxonomy and
+    observability counters. *)
 
 type market
 (** One population's per-CP constants, built once and read by every
-    class solve over its subsets (DESIGN.md §16): the (theta_hat, index)
-    sort order, and each CP's saturated demand [d(theta_hat)], rate
-    [rho = d(theta_hat) theta_hat] and aggregate term [alpha rho], plus
-    the beta column of exponential demands.  Unit weights (max-min
-    fairness).  Immutable, so one market may be shared across domains. *)
+    solve over its members (DESIGN.md §16): the alpha, theta_hat and
+    exponential-family beta columns, the (theta_hat, index) sort order,
+    and each CP's saturated demand [d(theta_hat)], rate
+    [rho = d(theta_hat) theta_hat] and aggregate term [alpha rho].  Unit
+    weights (max-min fairness).  Immutable, so one market may be shared
+    across domains. *)
 
 val market : Cp.t array -> market
 (** Build the market of a population: one sort and one demand evaluation
@@ -152,7 +126,7 @@ val subset_level :
     ([Invalid_argument] otherwise).  The sorted context comes from one
     pass over the market's order and columns — no sort, and no demand
     evaluation for saturated terms.  Same segment search, error
-    taxonomy and counters as {!solve}, at the default [tol]. *)
+    taxonomy and counters as {!solve}. *)
 
 val of_cap_subset : market -> int array -> congested:bool -> float -> solution
 (** [of_cap_subset m members ~congested cap] materialises the members'
@@ -168,19 +142,11 @@ val solve_subset :
     members)] (and so {!solve_reference}); the solution's arrays follow
     [members]. *)
 
-val solve_reference :
-  ?weights:float array -> ?tol:float -> nu:float -> Cp.t array -> solution
+val solve_reference : ?weights:float array -> nu:float -> Cp.t array -> solution
 (** The retained differential-testing reference: identical segment
     search and Brent call, but every aggregate evaluation walks all [n]
-    CPs with no prefix table and no bracket narrowing ever applies.
-    {!solve} must agree with it bit for bit on every input; the
+    CP records with no prefix table and no bracket narrowing ever
+    applies, and the solution at that level comes from the record
+    formula [theta_i = min theta_hat_i (w_i cap)] on the records alone,
+    not from {!of_cap_subset}.  {!solve} must agree with it bit for bit on every input; the
     [test_perf_kernel] suite enforces this. *)
-
-val solve_absolute :
-  ?budget:Po_sup.Budget.t -> ?weights:float array -> ?tol:float -> m:float ->
-  mu:float -> Cp.t array -> solution
-(** Equilibrium of an absolute system of [m > 0] consumers and capacity
-    [mu >= 0]; equals [solve ~nu:(mu /. m)] by Axiom 4. *)
-
-val theta_for : solution -> int -> float
-(** Bounds-checked accessor. *)

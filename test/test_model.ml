@@ -184,8 +184,8 @@ let test_equilibrium_rejects_bad_weights () =
 
 let test_solve_absolute_scale_invariance () =
   let cps = three_cp () in
-  let a = Equilibrium.solve_absolute ~m:100. ~mu:250. cps in
-  let b = Equilibrium.solve_absolute ~m:4000. ~mu:10000. cps in
+  let a = Alloc.solve_absolute Maxmin.mechanism ~m:100. ~mu:250. cps in
+  let b = Alloc.solve_absolute Maxmin.mechanism ~m:4000. ~mu:10000. cps in
   Array.iteri
     (fun i th -> check_close 1e-9 "same theta" th b.Equilibrium.theta.(i))
     a.Equilibrium.theta

@@ -56,31 +56,17 @@ let test_eq_differential_random () =
         (nu_grid cps))
     [ 1; 2; 3; 17; 99 ]
 
-let test_eq_differential_weighted () =
-  let cps = ensemble ~n:40 5 in
-  let rng = Po_prng.Splitmix.of_int 23 in
-  let weights =
-    Array.init (Array.length cps) (fun _ ->
-        0.25 +. Po_prng.Splitmix.float rng)
-  in
-  List.iter
-    (fun nu ->
-      check_solution
-        (Printf.sprintf "weighted nu=%g" nu)
-        (Equilibrium.solve ~weights ~nu cps)
-        (Equilibrium.solve_reference ~weights ~nu cps))
-    (nu_grid cps)
-
-let test_eq_context_reuse () =
-  (* A presorted context reused across many solves is the cp_game usage
+let test_eq_market_reuse () =
+  (* One market solved at many nus over every index is the cp_game usage
      pattern; it must not leak state between nus. *)
   let cps = ensemble ~n:50 7 in
-  let ctx = Equilibrium.context cps in
+  let market = Equilibrium.market cps in
+  let all = Array.init (Array.length cps) Fun.id in
   List.iter
     (fun nu ->
       check_solution
-        (Printf.sprintf "context nu=%g" nu)
-        (Equilibrium.solve ~context:ctx ~nu cps)
+        (Printf.sprintf "market nu=%g" nu)
+        (Equilibrium.solve_subset ~nu market all)
         (Equilibrium.solve_reference ~nu cps))
     (nu_grid cps)
 
@@ -322,6 +308,80 @@ let test_one_sided_hints_every_threshold () =
             positions)
         [ 0.05 *. unconstrained; 0.4 *. unconstrained;
           0.9 *. unconstrained ])
+    kinds
+
+(* Weighted solves: a paper ensemble with random weights, and every
+   demand family with theta_hat and the weights on coarse grids so that
+   weighted thresholds tie.  The solution must match the reference,
+   whose record formula [min theta_hat (w cap)] is its own, bit for
+   bit. *)
+let test_eq_differential_weighted () =
+  let check name cps ~weights nus =
+    List.iter
+      (fun nu ->
+        let name = Printf.sprintf "%s nu=%g" name nu in
+        check_solution name
+          (Equilibrium.solve ~weights ~nu cps)
+          (Equilibrium.solve_reference ~weights ~nu cps))
+      nus
+  in
+  (* A level exactly at a weighted threshold theta_hat /. w where
+     w *. (theta_hat /. w) rounds below theta_hat (theta_hat 1, w 49):
+     the record formula leaves that CP just below saturation, so a
+     materialiser testing [theta_hat /. w <= cap] instead of
+     [theta_hat <= w *. cap] would move its bits.  nu is the aggregate
+     at that level, summed as the solver sums it (saturated prefix, then
+     the tail), so the segment search lands on the grid point itself. *)
+  List.iter
+    (fun (kind, demand) ->
+      let a =
+        Cp.make ~id:0 ~alpha:1. ~theta_hat:1.
+          ~demand:(Demand.exponential ~beta:1.) ()
+      in
+      let b = Cp.make ~id:1 ~alpha:0.5 ~theta_hat:2. ~demand () in
+      let weights = [| 49.; 1. |] in
+      let cap = 1. /. 49. in
+      Alcotest.(check bool) "threshold rounds" true (49. *. cap < 1.);
+      let nu =
+        (0. +. Cp.lambda_per_capita a ~theta:1.)
+        +. Cp.lambda_per_capita b ~theta:cap
+      in
+      let sol = Equilibrium.solve ~weights ~nu [| a; b |] in
+      check_bits (kind ^ " level at the threshold") cap sol.Equilibrium.cap;
+      check_solution
+        ("level at a weighted threshold " ^ kind)
+        sol
+        (Equilibrium.solve_reference ~weights ~nu [| a; b |]))
+    [ ("exponential", Demand.exponential ~beta:2.); ("mixed", Demand.linear) ];
+  let cps = ensemble ~n:40 5 in
+  let rng = Po_prng.Splitmix.of_int 23 in
+  let weights =
+    Array.init (Array.length cps) (fun _ ->
+        0.25 +. Po_prng.Splitmix.float rng)
+  in
+  check "weighted ensemble" cps ~weights (nu_grid cps);
+  List.iter
+    (fun (kind, families) ->
+      List.iter
+        (fun seed ->
+          let cps = population ~families ~n:40 seed in
+          let rng = Po_prng.Splitmix.of_int (seed + 500) in
+          let weights =
+            Array.init (Array.length cps) (fun _ ->
+                0.25 *. float_of_int (1 + Po_prng.Splitmix.int rng 8))
+          in
+          let unconstrained =
+            Array.fold_left
+              (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp)
+              0. cps
+          in
+          check
+            (Printf.sprintf "weighted %s seed=%d" kind seed)
+            cps ~weights
+            [ 0.; 0.1 *. unconstrained; 0.5 *. unconstrained;
+              0.95 *. unconstrained; unconstrained;
+              1.5 *. unconstrained +. 1. ])
+        [ 3; 8 ])
     kinds
 
 let test_market_rejects_bad_members () =
@@ -574,7 +634,7 @@ let () =
     [ ( "equilibrium",
         [ quick "random ensembles bit-identical" test_eq_differential_random;
           quick "weighted systems bit-identical" test_eq_differential_weighted;
-          quick "context reuse" test_eq_context_reuse;
+          quick "market reuse" test_eq_market_reuse;
           quick "bracket hints are transparent"
             test_eq_bracket_hints_transparent;
           quick "all-saturated ensembles" test_eq_all_saturated;

@@ -408,6 +408,35 @@ let test_engine_regimes_pinned_n200 () =
       "0x1.b99e9a76fa6d2p+6 0x1.5be94e0fa3176p+0 0x1.2p-2 \
        0x1.b94ea460991afp-3 0x1.01712ffff39ccp-1" ]
 
+(* The bytes [ponet query] printed for an n=1000 equilibrium and surplus
+   query at the commit before every solve ran on a market
+   (test/golden/, also compared byte for byte by CI's serve smoke).
+   Found from the test directory under [dune runtest] and from the
+   repository root under [dune exec]. *)
+let golden name =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+  in
+  In_channel.with_open_text path In_channel.input_all
+
+let test_engine_goldens_n1000 () =
+  List.iter
+    (fun (query, file) ->
+      let line =
+        Printf.sprintf
+          {|{"query":"%s","params":{"n_cps":1000,"seed":7}}|} query
+      in
+      match Request.of_line line with
+      | Error _ -> Alcotest.failf "%s: request did not parse" query
+      | Ok req ->
+          Alcotest.(check string)
+            (query ^ " answer bytes")
+            (golden file)
+            (Request.response_line (Engine.eval req.Request.query) ^ "\n"))
+    [ ("equilibrium", "equilibrium-n1000-seed7.json");
+      ("surplus", "surplus-n1000-seed7.json") ]
+
 let test_engine_deadline_error () =
   (* Both regime queries read the one comparison, which checks the
      budget before its first solve. *)
@@ -690,6 +719,7 @@ let () =
           quick "regimes answer bits pinned" test_engine_regimes_pinned;
           slow "regimes answer bits pinned at n=200"
             test_engine_regimes_pinned_n200;
+          quick "n=1000 answers match the goldens" test_engine_goldens_n1000;
           quick "deadline error" test_engine_deadline_error;
           quick "solver fault" test_engine_solver_fault;
           quick "unknown figure" test_engine_unknown_figure ] );

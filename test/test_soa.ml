@@ -151,33 +151,21 @@ let test_eq_degenerate () =
   check_population "spread" spread;
   check_population "single" (ensemble ~n:1 77)
 
-let test_eq_weighted () =
-  let cps = ensemble ~n:40 41 in
-  let soa = Cp_soa.of_cps cps in
-  let rng = Po_prng.Splitmix.of_int 410 in
-  let weights =
-    Array.init 40 (fun _ -> 0.1 +. Po_prng.Splitmix.float rng)
-  in
-  let sat = Po_workload.Ensemble.saturation_nu cps in
-  List.iter
-    (fun nu ->
-      check_solution
-        (Printf.sprintf "weighted nu=%g" nu)
-        (Equilibrium.solve_soa ~weights ~nu soa)
-        (Equilibrium.solve ~weights ~nu cps))
-    (nu_grid sat)
-
-let test_eq_context_reuse () =
+let test_eq_market_reuse () =
+  (* One market of the record population solved at many nus over every
+     index; each must match the reference and the column solve. *)
   let cps = ensemble ~n:90 51 in
   let soa = Cp_soa.of_cps cps in
-  let context = Equilibrium.context_soa soa in
+  let market = Equilibrium.market cps in
+  let all = Array.init (Array.length cps) Fun.id in
   let sat = Po_workload.Ensemble.saturation_nu cps in
   List.iter
     (fun nu ->
-      check_solution
-        (Printf.sprintf "ctx reuse nu=%g" nu)
-        (Equilibrium.solve_soa ~context ~nu soa)
-        (Equilibrium.solve_reference ~nu cps))
+      let name = Printf.sprintf "market reuse nu=%g" nu in
+      let from_market = Equilibrium.solve_subset ~nu market all in
+      check_solution (name ^ " ref") from_market
+        (Equilibrium.solve_reference ~nu cps);
+      check_solution (name ^ " soa") from_market (Equilibrium.solve_soa ~nu soa))
     (nu_grid sat)
 
 let test_surplus () =
@@ -331,8 +319,9 @@ let test_large_n_smoke () =
   (* Peak-heap growth, not cumulative allocation: the solve's transient
      scratch (boxed accumulators in the aggregate loops) is reclaimed by
      the minor collector and never accumulates.  What must stay O(n) is
-     the live footprint — the context (~9 sorted columns incl. the sort
-     scratch) plus the solution (3 columns), ~13n words.  40n words of
+     the live footprint — the market (3 columns beside the population's
+     own), the member indices, the context (4 sorted columns) and the
+     solution (3 columns), ~11n words.  40n words of
      headroom catches any regression that retains per-iteration state or
      materialises boxed records alongside the columns. *)
   let heap_growth = after.Gc.top_heap_words - before.Gc.top_heap_words in
@@ -346,8 +335,7 @@ let () =
           quick "archetype mixes bit-identical" test_eq_archetype_mixes;
           quick "threshold ties" test_eq_ties;
           quick "degenerate populations" test_eq_degenerate;
-          quick "weighted systems" test_eq_weighted;
-          quick "context reuse" test_eq_context_reuse;
+          quick "market reuse" test_eq_market_reuse;
           quick "surplus and aggregates" test_surplus ] );
       ( "cp_game",
         [ quick "competitive solver bit-identical" test_game_differential;
