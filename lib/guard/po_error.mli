@@ -27,8 +27,8 @@ type kind =
       (** an iteration hit its cap; [residual] is the last step size /
           defect (solver-specific, [nan] when meaningless) *)
   | Invalid_scenario of string
-      (** inputs outside the model's domain (bad weights, shares not
-          summing to 1, ...) *)
+      (** inputs outside the model's domain (bad supervision settings,
+          an unknown figure, ...) *)
   | Worker_crash of { chunk : int; exn : exn }
       (** a pool worker died evaluating the given chunk; [exn] is the
           original exception *)

@@ -13,13 +13,6 @@ let empty =
 
 let default_tol = 1e-12
 
-let check_weights cps weights =
-  if Array.length weights <> Array.length cps then
-    invalid_arg "Equilibrium: weights length mismatch";
-  Array.iter
-    (fun w -> if w <= 0. then invalid_arg "Equilibrium: weight <= 0")
-    weights
-
 (* Observability counters (DESIGN.md §11).  All are incremented once
    per logical solve/decision, independent of which domain runs the
    solve, so snapshots are jobs-invariant; disarmed they cost one
@@ -51,7 +44,7 @@ let sort_order keys =
 (* ------------------------------------------------------------------ *)
 
 (* Every solve runs on a market: the population's per-CP constants as
-   unboxed float columns by population index, its (threshold, index)
+   unboxed float columns by population index, its (theta_hat, index)
    sort order, and each CP's saturated values.  A CP game builds one
    market per population and re-solves subsets of it thousands of times;
    [solve] and [solve_soa] build one for a single solve over every
@@ -64,12 +57,6 @@ let sort_order keys =
    Such a market never leaves this module, so [market_cps] only ever
    sees record markets.
 
-   Weights (alpha-fair solves) give each CP the threshold
-   [theta_hat /. w] and the level [w *. cap].  At unit weights a
-   threshold is theta_hat itself ([theta_hat /. 1.] and [1. *. cap] are
-   exact), so [thresholds] is the [theta_hat] array and there is no
-   weight column.
-
    Immutable once built: one market is shared by every solve of a search
    and, through the pools, by several domains at once, so
    [subset_context] allocates its scratch per call.
@@ -79,13 +66,11 @@ let sort_order keys =
    materialiser needs neither.  It never leaves this module either. *)
 type market = {
   cps : Cp.t array;  (* the records; [||] for a column-built market *)
-  order : int array;  (* population indices by (threshold, index); [||]
+  order : int array;  (* population indices by (theta_hat, index); [||]
                          when unsorted *)
-  theta_hat : float array;
+  theta_hat : float array;  (* the saturation thresholds *)
   alpha : float array;
   beta : float array;  (* exponential-family beta; nan for other demands *)
-  weights : float array option;  (* [None]: unit weights *)
-  thresholds : float array;  (* theta_hat /. w; [theta_hat] at unit weights *)
   sat_demand : float array;  (* d(theta_hat) = [Cp.demand_at cp theta_hat] *)
   sat_term : float array;  (* alpha *. (sat_demand *. theta_hat) *)
 }
@@ -101,16 +86,10 @@ let demand_at m i theta =
     let th = m.theta_hat.(i) in
     Cp_soa.demand_curve ~beta:b (Float.min (Float.max theta 0.) th /. th)
 
-let build_market ~sorted ~cps ~alpha ~theta_hat ~beta weights =
-  let thresholds =
-    match weights with
-    | None -> theta_hat
-    | Some w -> Array.mapi (fun i th -> th /. w.(i)) theta_hat
-  in
+let build_market ~sorted ~cps ~alpha ~theta_hat ~beta =
   let m =
-    { cps; order = (if sorted then sort_order thresholds else [||]);
-      theta_hat; alpha; beta; weights; thresholds; sat_demand = [||];
-      sat_term = [||] }
+    { cps; order = (if sorted then sort_order theta_hat else [||]);
+      theta_hat; alpha; beta; sat_demand = [||]; sat_term = [||] }
   in
   let sat_demand = Array.mapi (fun i th -> demand_at m i th) theta_hat in
   { m with
@@ -120,8 +99,7 @@ let build_market ~sorted ~cps ~alpha ~theta_hat ~beta weights =
          Array.mapi (fun i d -> alpha.(i) *. (d *. theta_hat.(i))) sat_demand
        else [||]) }
 
-let market_of_cps ~sorted ?weights cps =
-  Option.iter (check_weights cps) weights;
+let market_of_cps ~sorted cps =
   build_market ~sorted ~cps
     ~alpha:(Array.map (fun (cp : Cp.t) -> cp.Cp.alpha) cps)
     ~theta_hat:(Array.map (fun (cp : Cp.t) -> cp.Cp.theta_hat) cps)
@@ -130,7 +108,6 @@ let market_of_cps ~sorted ?weights cps =
          (fun (cp : Cp.t) ->
            Option.value (Demand.beta cp.Cp.demand) ~default:Float.nan)
          cps)
-    weights
 
 let market cps = market_of_cps ~sorted:true cps
 
@@ -145,7 +122,7 @@ let saturated_rho m i = m.sat_demand.(i) *. m.theta_hat.(i)
 
 (* The water-filling aggregate sum_i alpha_i d_i(theta_i(cap)) theta_i(cap)
    splits at any cap into two populations: CPs whose saturation threshold
-   theta_hat_i / w_i lies at or below the water level contribute the
+   theta_hat_i lies at or below the water level contribute the
    {e constant} alpha_i d_i(theta_hat_i) theta_hat_i, the rest contribute a
    cap-dependent term.  Presorting by threshold turns the constant part
    into one binary search plus one prefix-sum lookup, so each evaluation
@@ -166,22 +143,18 @@ type demand_col =
   | Dfun of Demand.t array  (* general demands, one closure per position *)
 
 type context = {
-  thresholds : float array;  (* ascending theta_hat_i / w_i *)
+  s_theta_hat : float array;  (* ascending theta_hat: the thresholds *)
   sat_prefix : float array;  (* left fold of the first k saturated terms *)
   s_alpha : float array;  (* sorted alpha column *)
-  s_theta_hat : float array;  (* sorted theta_hat column *)
-  s_weights : float array option;  (* sorted weight column; [None]: unit *)
   s_demand : demand_col;  (* sorted demand parameters *)
 }
 
 (* The context of the members (strictly ascending population indices),
    in one pass over the market's order and columns: filtering the
-   population order yields exactly the (threshold, index) order of the
+   population order yields exactly the (theta_hat, index) order of the
    members, and the cached saturated terms are the tail terms of
    [aggregate_sorted] at an infinite level.  The whole population takes the
-   market's order as is, and one member needs no filtering.  At unit
-   weights the threshold column is the theta_hat column and there is no
-   weight column, so no extra column is gathered. *)
+   market's order as is, and one member needs no filtering. *)
 let subset_context m members =
   let k = Array.length members in
   let n = Array.length m.order in
@@ -189,20 +162,10 @@ let subset_context m members =
   let s_alpha = Array.make k 0. in
   let sat_prefix = Array.make (k + 1) 0. in
   let betas = Array.make k 0. in
-  let thresholds, s_weights =
-    match m.weights with
-    | None -> (s_theta_hat, None)
-    | Some _ -> (Array.make k 0., Some (Array.make k 0.))
-  in
   let exponential = ref true in
   let place s i =
     s_theta_hat.(s) <- m.theta_hat.(i);
     s_alpha.(s) <- m.alpha.(i);
-    (match (m.weights, s_weights) with
-    | Some w, Some s_w ->
-        thresholds.(s) <- m.thresholds.(i);
-        s_w.(s) <- w.(i)
-    | _ -> ());
     let b = m.beta.(i) in
     if Float.is_nan b then exponential := false;
     betas.(s) <- b;
@@ -235,7 +198,7 @@ let subset_context m members =
       order
     end
   in
-  { thresholds; sat_prefix; s_alpha; s_theta_hat; s_weights;
+  { s_theta_hat; sat_prefix; s_alpha;
     s_demand =
       (if !exponential then Dexp betas
        else Dfun (Array.map (fun i -> m.cps.(i).Cp.demand) order)) }
@@ -252,21 +215,18 @@ let saturated_count thresholds cap =
 
 (* Optimized evaluator: prefix-sum lookup + unsaturated tail over flat
    columns.  Each tail term is exactly [Cp.lambda_per_capita cp
-   ~theta:(min theta_hat (w *. cap))] of the record path, rebuilt from
+   ~theta:(min theta_hat cap)] of the record path, rebuilt from
    columns — same clamps, same operation order; the [Dexp] arm inlines
    [Demand.exponential]'s curve, the [Dfun] arm calls the stored closure
    exactly as the record path does. *)
 let aggregate_sorted ctx ~cap =
-  let n = Array.length ctx.thresholds in
-  let k = saturated_count ctx.thresholds cap in
+  let n = Array.length ctx.s_theta_hat in
+  let k = saturated_count ctx.s_theta_hat cap in
   let acc = ref ctx.sat_prefix.(k) in
   for s = k to n - 1 do
     let th = ctx.s_theta_hat.(s) in
-    let wcap =
-      match ctx.s_weights with None -> cap | Some w -> w.(s) *. cap
-    in
     (* [Cp.cap_theta]'s clamp, idempotent here but kept for bit parity. *)
-    let theta = Float.min (Float.max (Float.min th wcap) 0.) th in
+    let theta = Float.min (Float.max (Float.min th cap) 0.) th in
     let d =
       match ctx.s_demand with
       | Dexp betas -> Cp_soa.demand_curve ~beta:betas.(s) (theta /. th)
@@ -452,7 +412,7 @@ let level ?budget ?bracket ~nu m members =
     else begin
       let context = subset_context m members in
       ( true,
-        solve_congested ?budget ~thresholds:context.thresholds
+        solve_congested ?budget ~thresholds:context.s_theta_hat
           ~aggregate:(fun ~cap -> aggregate_sorted context ~cap)
           ~bracket ~nu ~n:k () )
     end
@@ -461,12 +421,11 @@ let level ?budget ?bracket ~nu m members =
 let subset_level ?bracket ~nu m members = level ?bracket ~nu m members
 
 (* The one materialiser: the members' throughputs, demands and rates at
-   water level [cap], in [members] order, where a member of weight [w]
-   has throughput [min theta_hat (w *. cap)].  A member with
-   [theta_hat <= w *. cap] (every member at an infinite level) is
-   saturated and takes the market's cached values, the same expressions
-   evaluated once; testing the threshold [theta_hat /. w <= cap] instead
-   could round the other way.  Any other member runs at [w *. cap]. *)
+   water level [cap], in [members] order, where a member has throughput
+   [min theta_hat cap].  A member with [theta_hat <= cap] (every member
+   at an infinite level) is saturated and takes the market's cached
+   values, the same expressions evaluated once.  Any other member runs
+   at [cap]. *)
 let of_cap_subset m members ~congested cap =
   let k = Array.length members in
   let theta = Array.make k 0. in
@@ -476,17 +435,16 @@ let of_cap_subset m members ~congested cap =
   Array.iteri
     (fun p i ->
       let th = m.theta_hat.(i) in
-      let wcap = match m.weights with None -> cap | Some w -> w.(i) *. cap in
-      if th <= wcap then begin
+      if th <= cap then begin
         theta.(p) <- th;
         demand.(p) <- m.sat_demand.(i);
         rho.(p) <- saturated_rho m i
       end
       else begin
-        let d = demand_at m i wcap in
-        theta.(p) <- wcap;
+        let d = demand_at m i cap in
+        theta.(p) <- cap;
         demand.(p) <- d;
-        rho.(p) <- d *. wcap
+        rho.(p) <- d *. cap
       end;
       per_capita_rate := !per_capita_rate +. (m.alpha.(i) *. rho.(p)))
     members;
@@ -507,12 +465,12 @@ let solve_all ?budget ?bracket ~nu ~unconstrained build =
   solve_members ?budget ?bracket ~nu m
     (Array.init (Array.length m.theta_hat) Fun.id)
 
-let solve ?budget ?bracket ?weights ~nu cps =
+let solve ?budget ?bracket ~nu cps =
   if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
   solve_all ?budget ?bracket ~nu
     ~unconstrained:
       (Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps)
-    (fun ~sorted -> market_of_cps ~sorted ?weights cps)
+    (fun ~sorted -> market_of_cps ~sorted cps)
 
 let solve_soa ~nu (soa : Cp_soa.t) =
   if nu < 0. then invalid_arg "Equilibrium.solve_soa: nu < 0";
@@ -522,7 +480,7 @@ let solve_soa ~nu (soa : Cp_soa.t) =
   done;
   solve_all ~nu ~unconstrained:!unconstrained (fun ~sorted ->
       build_market ~sorted ~cps:[||] ~alpha:soa.alpha ~theta_hat:soa.theta_hat
-        ~beta:soa.beta None)
+        ~beta:soa.beta)
 
 (* ------------------------------------------------------------------ *)
 (* Record-based reference solver (retained, DESIGN.md §9 and §12)     *)
@@ -540,22 +498,18 @@ type reference_context = {
   r_thresholds : float array;
   r_sat : float array;
   r_cps : Cp.t array;
-  r_weights : float array;
 }
 
-let reference_context weights cps =
-  let n = Array.length cps in
-  let keys = Array.init n (fun i -> cps.(i).Cp.theta_hat /. weights.(i)) in
-  let order = sort_order keys in
-  let r_cps = Array.map (fun i -> cps.(i)) order in
-  let r_weights = Array.map (fun i -> weights.(i)) order in
-  let r_thresholds = Array.map (fun i -> keys.(i)) order in
+let reference_context cps =
+  let theta_hat (cp : Cp.t) = cp.Cp.theta_hat in
+  let r_cps = Array.map (Array.get cps) (sort_order (Array.map theta_hat cps)) in
+  let r_thresholds = Array.map theta_hat r_cps in
   let r_sat =
     Array.map
       (fun (cp : Cp.t) -> Cp.lambda_per_capita cp ~theta:cp.Cp.theta_hat)
       r_cps
   in
-  { r_thresholds; r_sat; r_cps; r_weights }
+  { r_thresholds; r_sat; r_cps }
 
 (* Reference evaluator: same branch condition and accumulation order as
    [aggregate_sorted] — the saturated CPs form a prefix of the sorted
@@ -568,24 +522,18 @@ let aggregate_sorted_reference rctx ~cap =
     let cp = rctx.r_cps.(s) in
     if rctx.r_thresholds.(s) <= cap then acc := !acc +. rctx.r_sat.(s)
     else begin
-      let theta = Float.min cp.Cp.theta_hat (rctx.r_weights.(s) *. cap) in
+      let theta = Float.min cp.Cp.theta_hat cap in
       acc := !acc +. Cp.lambda_per_capita cp ~theta
     end
   done;
   !acc
 
 (* The record formula from the records alone, by population index:
-   [theta_i = min theta_hat_i (w_i cap)] ([theta_hat_i] at an infinite
-   level), [d_i = Cp.demand_at], [rho_i = d_i theta_i], and the
-   alpha-weighted rate summed in index order. *)
-let reference_solution weights cps ~congested cap =
-  let theta =
-    Array.mapi
-      (fun i (cp : Cp.t) ->
-        if Float.equal cap Float.infinity then cp.Cp.theta_hat
-        else Float.min cp.Cp.theta_hat (weights.(i) *. cap))
-      cps
-  in
+   [theta_i = min theta_hat_i cap], [d_i = Cp.demand_at],
+   [rho_i = d_i theta_i], and the rate [sum_i alpha_i rho_i] summed in
+   index order. *)
+let reference_solution cps ~congested cap =
+  let theta = Array.map (fun (cp : Cp.t) -> Float.min cp.Cp.theta_hat cap) cps in
   let demand = Array.mapi (fun i cp -> Cp.demand_at cp theta.(i)) cps in
   let rho = Array.mapi (fun i d -> d *. theta.(i)) demand in
   let per_capita_rate = ref 0. in
@@ -595,13 +543,11 @@ let reference_solution weights cps ~congested cap =
     cps;
   { theta; demand; rho; per_capita_rate = !per_capita_rate; congested; cap }
 
-let solve_reference ?weights ~nu cps =
+let solve_reference ~nu cps =
   if nu < 0. then invalid_arg "Equilibrium.solve: nu < 0";
   let n = Array.length cps in
   if n = 0 then empty
   else begin
-    Option.iter (check_weights cps) weights;
-    let weights = Option.value weights ~default:(Array.make n 1.) in
     Po_obs.Metrics.incr m_solves;
     let unconstrained =
       Array.fold_left (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp) 0. cps
@@ -612,12 +558,12 @@ let solve_reference ?weights ~nu cps =
         (false, Float.infinity)
       end
       else begin
-        let rctx = reference_context weights cps in
+        let rctx = reference_context cps in
         ( true,
           solve_congested ~thresholds:rctx.r_thresholds
             ~aggregate:(fun ~cap -> aggregate_sorted_reference rctx ~cap)
             ~bracket:None ~nu ~n () )
       end
     in
-    reference_solution weights cps ~congested cap
+    reference_solution cps ~congested cap
   end

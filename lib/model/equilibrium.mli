@@ -1,17 +1,16 @@
 (** The system rate equilibrium (Theorem 1).
 
     The interplay between a rate-allocation mechanism and the demand
-    functions pins down a unique throughput profile.  For the whole family
-    of mechanisms used in this repository — max-min fair and weighted
-    alpha-fair with homogeneous flows — the allocation has the
-    {e common-cap} form
+    functions pins down a unique throughput profile.  Under max-min
+    fairness, the paper's working mechanism (Sec. II-D), the allocation
+    has the {e common-cap} form
 
-    {v theta_i = min (theta_hat_i, w_i * cap) v}
+    {v theta_i = min (theta_hat_i, cap) v}
 
-    for a scalar [cap >= 0] and per-CP weights [w_i > 0]: every flow is
-    throttled at the same (weighted) water level, and flows whose
-    unconstrained throughput lies below the level are unconstrained.  The
-    equilibrium cap solves the work-conservation equation (Axiom 2)
+    for a scalar [cap >= 0]: every flow is throttled at the same water
+    level, and flows whose unconstrained throughput lies below the level
+    are unconstrained.  The equilibrium cap solves the work-conservation
+    equation (Axiom 2)
 
     {v sum_i alpha_i d_i(theta_i(cap)) theta_i(cap) = min (nu, sum_i alpha_i theta_hat_i) v}
 
@@ -21,7 +20,7 @@
     {b One store, one path (DESIGN.md §9, §12 and §16).}  Every solve
     runs on a {!market}: the population's per-CP constants as unboxed
     float columns by population index, its sort order by saturation
-    threshold [theta_hat_i / w_i], and each CP's saturated demand and
+    threshold [theta_hat_i], and each CP's saturated demand and
     aggregate term, computed once.  {!solve} builds a market from
     records, {!solve_soa} from {!Cp_soa.t} columns (allocating no
     record), and a CP game builds one per population and re-solves
@@ -61,12 +60,11 @@ val empty : solution
 (** Equilibrium of a system with no CPs. *)
 
 val solve :
-  ?budget:Po_sup.Budget.t -> ?bracket:float * float -> ?weights:float array ->
-  nu:float -> Cp.t array -> solution
-(** Compute the rate equilibrium of the per-capita system [(nu, cps)]:
-    {!solve_subset} over every index of the population's market.
-    [weights] defaults to all ones (max-min fairness); entries must be
-    [> 0].  [nu >= 0].
+  ?budget:Po_sup.Budget.t -> ?bracket:float * float -> nu:float -> Cp.t array ->
+  solution
+(** Compute the max-min rate equilibrium of the per-capita system
+    [(nu, cps)]: {!solve_subset} over every index of the population's
+    market.  [nu >= 0].
 
     [bracket] is a warm-start hint [(lo, hi)] for the water level,
     typically the previous solve's cap padded to the known side of a
@@ -101,9 +99,8 @@ type market
     solve over its members (DESIGN.md §16): the alpha, theta_hat and
     exponential-family beta columns, the (theta_hat, index) sort order,
     and each CP's saturated demand [d(theta_hat)], rate
-    [rho = d(theta_hat) theta_hat] and aggregate term [alpha rho].  Unit
-    weights (max-min fairness).  Immutable, so one market may be shared
-    across domains. *)
+    [rho = d(theta_hat) theta_hat] and aggregate term [alpha rho].
+    Immutable, so one market may be shared across domains. *)
 
 val market : Cp.t array -> market
 (** Build the market of a population: one sort and one demand evaluation
@@ -142,11 +139,11 @@ val solve_subset :
     members)] (and so {!solve_reference}); the solution's arrays follow
     [members]. *)
 
-val solve_reference : ?weights:float array -> nu:float -> Cp.t array -> solution
+val solve_reference : nu:float -> Cp.t array -> solution
 (** The retained differential-testing reference: identical segment
     search and Brent call, but every aggregate evaluation walks all [n]
     CP records with no prefix table and no bracket narrowing ever
     applies, and the solution at that level comes from the record
-    formula [theta_i = min theta_hat_i (w_i cap)] on the records alone,
-    not from {!of_cap_subset}.  {!solve} must agree with it bit for bit on every input; the
-    [test_perf_kernel] suite enforces this. *)
+    formula [theta_i = min theta_hat_i cap] on the records alone, not
+    from {!of_cap_subset}.  {!solve} must agree with it bit for bit on
+    every input; the [test_perf_kernel] suite enforces this. *)

@@ -1,10 +1,3 @@
 let solve ~nu cps = Equilibrium.solve ~nu cps
 
 let mechanism = { Alloc.name = "max-min"; solve }
-
-let cap ~nu cps = (solve ~nu cps).Equilibrium.cap
-
-let rho_of_entrant ~nu cps ~entrant =
-  let extended = Array.append cps [| entrant |] in
-  let sol = solve ~nu extended in
-  sol.Equilibrium.rho.(Array.length cps)

@@ -4,20 +4,13 @@
     split of the bottleneck among flows [Chiu & Jain]; the paper adopts
     max-min as its working mechanism.  Max-min is the [alpha -> infinity]
     member of the alpha-proportional-fair family and, with homogeneous
-    flows, has the common-cap form [theta_i = min (theta_hat_i, cap)]. *)
+    flows, has the common-cap form [theta_i = min (theta_hat_i, cap)].
+    With unit weights every member of that family coincides with max-min
+    for homogeneous flows, so it is the one allocation the model
+    carries. *)
 
 val mechanism : Alloc.t
 (** The max-min fair mechanism; satisfies Axioms 1-4 under Assumption 1. *)
 
 val solve : nu:float -> Cp.t array -> Equilibrium.solution
 (** Direct entry point, identical to [mechanism.solve]. *)
-
-val cap : nu:float -> Cp.t array -> float
-(** The equilibrium water level ([infinity] when the system is
-    unconstrained); this is the throughput estimate a throughput-taking
-    entrant uses under a competitive equilibrium (Assumption 3). *)
-
-val rho_of_entrant : nu:float -> Cp.t array -> entrant:Cp.t -> float
-(** Ex-post per-capita throughput [rho_i (nu, S + {i})] (Eq. 5) obtained by
-    actually adding [entrant] to the system and re-solving; used by the
-    Nash-deviation checks of Definition 2. *)

@@ -23,8 +23,7 @@ let consumer_soa soa sol =
   done;
   !acc
 
-let consumer_at ?(mechanism = Maxmin.mechanism) ~nu cps =
-  consumer cps (mechanism.Alloc.solve ~nu cps)
+let consumer_at ~nu cps = consumer cps (Maxmin.solve ~nu cps)
 
 let isp ~c cps sol =
   if c < 0. then invalid_arg "Surplus.isp: c < 0";

@@ -14,8 +14,8 @@ val consumer_soa : Cp_soa.t -> Equilibrium.solution -> float
     accumulation, hence bit-identical to the record form on equal
     populations); pairs with {!Equilibrium.solve_soa}. *)
 
-val consumer_at : ?mechanism:Alloc.t -> nu:float -> Cp.t array -> float
-(** Solve the system (default: max-min) then evaluate [consumer]. *)
+val consumer_at : nu:float -> Cp.t array -> float
+(** Solve the system under max-min then evaluate [consumer]. *)
 
 val isp : c:float -> Cp.t array -> Equilibrium.solution -> float
 (** [Psi] collected at price [c >= 0] from the given (premium) subsystem. *)

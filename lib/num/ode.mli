@@ -2,8 +2,7 @@
 
     Used for the continuous-time form of the consumer-migration dynamics
     (replicator equations) and available to any experiment that needs a
-    smooth trajectory rather than the discrete-map iterations of
-    {!Fixpoint}. *)
+    smooth trajectory. *)
 
 val rk4_step :
   f:(t:float -> float array -> float array) -> t:float -> dt:float ->

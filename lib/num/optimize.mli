@@ -3,29 +3,10 @@
     The ISP strategy space is the compact square [(kappa, c) in [0,1]^2]
     and the objectives (market share, revenue, consumer surplus) are
     piecewise-continuous with jumps at CP re-equilibration points, so the
-    primary tools are exhaustive grid search with local refinement; a
-    golden-section routine and a Nelder-Mead simplex are provided for the
-    smooth regions. *)
+    tool is exhaustive grid search with local refinement. *)
 
 type point1 = { x : float; fx : float }
 type point2 = { x1 : float; x2 : float; f12 : float }
-
-val golden_section_max :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> point1
-(** Golden-section search for a maximum of a unimodal function on
-    [[lo, hi]]. *)
-
-val grid_max :
-  f:(float -> float) -> grid:float array -> unit -> point1
-(** Exhaustive maximisation over an explicit grid (first maximiser wins
-    ties).  The grid must be non-empty; each point is evaluated once. *)
-
-val grid_max2 :
-  f:(float -> float -> float) -> grid1:float array -> grid2:float array ->
-  unit -> point2
-(** Exhaustive maximisation over a Cartesian product of grids, scanned
-    with [grid1] outermost (first maximiser wins ties). *)
 
 val refine_grid_max :
   ?levels:int -> ?points:int -> f:(float -> float) -> lo:float -> hi:float ->
@@ -60,15 +41,3 @@ val refine_grid_max2 :
   lo1:float -> hi1:float -> lo2:float -> hi2:float -> unit -> point2
 (** {!refine_grid_max2_floor} with an exact objective that ignores the
     floor. *)
-
-val nelder_mead :
-  ?tol:float -> ?max_iter:int -> f:(float array -> float) ->
-  init:float array -> ?step:float -> unit -> float array * float
-(** Nelder-Mead simplex minimisation from [init] with initial simplex edge
-    [step] (default [0.1]).  Returns the best vertex and its value. *)
-
-val maximize_nelder_mead :
-  ?tol:float -> ?max_iter:int -> f:(float array -> float) ->
-  init:float array -> ?step:float -> unit -> float array * float
-(** {!nelder_mead} on [-. f]; returns the maximiser and the (positive)
-    maximum. *)

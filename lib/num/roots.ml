@@ -134,36 +134,6 @@ let brent ?(tol = default_tol) ?(max_iter = default_max_iter) ?f_lo ?f_hi ~f
     | None -> { root = !b; value = !fb; iterations = !n; converged = false }
   end
 
-let secant ?(tol = default_tol) ?(max_iter = default_max_iter) ~f ~x0 ~x1 () =
-  let rec loop x0 f0 x1 f1 n =
-    if Float.abs f1 <= tol || Float.abs (x1 -. x0) <= tol then
-      { root = x1; value = f1; iterations = n; converged = true }
-    else if n >= max_iter || Float.equal f1 f0 || not (Float.is_finite x1)
-    then
-      { root = x1; value = f1; iterations = n; converged = false }
-    else
-      let x2 = x1 -. (f1 *. (x1 -. x0) /. (f1 -. f0)) in
-      loop x1 f1 x2 (f x2) (n + 1)
-  in
-  loop x0 (f x0) x1 (f x1) 0
-
-let expand_bracket ?(factor = 1.6) ?(max_expand = 60) ~f ~lo ~hi () =
-  if lo >= hi then invalid_arg "Roots.expand_bracket: lo >= hi";
-  let rec loop lo hi flo fhi n =
-    if not (same_sign flo fhi) then (lo, hi)
-    else if n >= max_expand then
-      raise (No_bracket "Roots.expand_bracket: no sign change found")
-    else
-      let w = (hi -. lo) *. (factor -. 1.) in
-      if Float.abs flo < Float.abs fhi then
-        let lo' = lo -. w in
-        loop lo' hi (f lo') fhi (n + 1)
-      else
-        let hi' = hi +. w in
-        loop lo hi' flo (f hi') (n + 1)
-  in
-  loop lo hi (f lo) (f hi) 0
-
 let find_monotone_level ?(tol = default_tol) ?(max_iter = default_max_iter) ~f
     ~level ~lo ~hi () =
   let g x = f x -. level in

@@ -3,8 +3,7 @@
     The rate-equilibrium and market-share computations of the public-option
     model all reduce to solving [f x = 0] for a monotone (possibly only
     piecewise-continuous) [f] on a known bracket.  Bisection is therefore the
-    workhorse; Brent's method is provided for smooth problems and a secant
-    fallback for cheap refinement. *)
+    workhorse; Brent's method is provided for smooth problems. *)
 
 type outcome = {
   root : float;  (** best estimate of the root *)
@@ -20,8 +19,7 @@ val default_max_iter : int
 (** Iteration cap used when [?max_iter] is omitted. *)
 
 exception No_bracket of string
-(** Raised when the supplied interval does not bracket a sign change and
-    bracket expansion fails. *)
+(** Raised when the supplied interval does not bracket a sign change. *)
 
 val bisect :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
@@ -41,18 +39,6 @@ val brent :
     [f_lo] and [f_hi] are [f lo] and [f hi] when the caller has already
     evaluated them; [f] is then not called there again.  Given the exact
     values, the outcome is bit for bit that of a call without them. *)
-
-val secant :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> x0:float -> x1:float ->
-  unit -> outcome
-(** Unbracketed secant iteration started from [x0], [x1].  May diverge;
-    check [converged]. *)
-
-val expand_bracket :
-  ?factor:float -> ?max_expand:int -> f:(float -> float) ->
-  lo:float -> hi:float -> unit -> float * float
-(** Geometrically expands [[lo, hi]] outward until it brackets a sign change
-    of [f].  Raises {!No_bracket} after [max_expand] doublings. *)
 
 val find_monotone_level :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> level:float ->

@@ -167,21 +167,6 @@ let test_equilibrium_demand_ordering () =
     true
     (g < s && s < n)
 
-let test_equilibrium_weights () =
-  (* Double-weight CPs reach a higher cap before their theta_hat binds. *)
-  let cps =
-    [| Cp.make ~id:0 ~alpha:1. ~theta_hat:10. ~demand:Demand.inelastic ();
-       Cp.make ~id:1 ~alpha:1. ~theta_hat:10. ~demand:Demand.inelastic () |]
-  in
-  let sol = Equilibrium.solve ~weights:[| 2.; 1. |] ~nu:6. cps in
-  check_close 1e-6 "weighted split 4/2" 4. sol.Equilibrium.theta.(0);
-  check_close 1e-6 "weighted split 4/2" 2. sol.Equilibrium.theta.(1)
-
-let test_equilibrium_rejects_bad_weights () =
-  Alcotest.check_raises "zero weight"
-    (Invalid_argument "Equilibrium: weight <= 0") (fun () ->
-      ignore (Equilibrium.solve ~weights:[| 0. |] ~nu:1. [| Cp.google 0 |]))
-
 let test_solve_absolute_scale_invariance () =
   let cps = three_cp () in
   let a = Alloc.solve_absolute Maxmin.mechanism ~m:100. ~mu:250. cps in
@@ -223,25 +208,6 @@ let audit_nus = Po_num.Grid.linspace 0.2 8. 12
 
 let test_maxmin_satisfies_axioms () =
   match Alloc.check_all Maxmin.mechanism ~nus:audit_nus (three_cp ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
-let test_alphafair_satisfies_axioms () =
-  List.iter
-    (fun alpha ->
-      match
-        Alloc.check_all
-          (Alphafair.mechanism ~weights:[| 1.; 2.; 0.5 |] ~alpha ())
-          ~nus:audit_nus (three_cp ())
-      with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-    [ 0.5; 1.; 2.; Float.infinity ]
-
-let test_priority_satisfies_axioms () =
-  match
-    Alloc.check_all (Priority.mechanism ()) ~nus:audit_nus (three_cp ())
-  with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -292,20 +258,6 @@ let test_axiom3_checker_catches_nonmonotone () =
   | Ok () -> Alcotest.fail "axiom 3 violation not caught"
   | Error _ -> ()
 
-let test_priority_order_matters () =
-  let cps = three_cp () in
-  let forward = Priority.solve ~order:[| 0; 1; 2 |] ~nu:1. cps in
-  let backward = Priority.solve ~order:[| 2; 1; 0 |] ~nu:1. cps in
-  (* Google (alpha=1, theta_hat=1) fits within nu=1 fully when first. *)
-  check_float "google full when first" 1. forward.Equilibrium.theta.(0);
-  Alcotest.(check bool) "google throttled when last" true
-    (backward.Equilibrium.theta.(0) < 1.)
-
-let test_priority_rejects_bad_order () =
-  Alcotest.check_raises "duplicate order"
-    (Invalid_argument "Priority: duplicate order index") (fun () ->
-      ignore (Priority.solve ~order:[| 0; 0; 1 |] ~nu:1. (three_cp ())))
-
 let prop_maxmin_axiom2_random =
   QCheck.Test.make ~name:"max-min work conservation on random ensembles"
     ~count:30
@@ -314,26 +266,6 @@ let prop_maxmin_axiom2_random =
       match Alloc.check_axiom2 Maxmin.mechanism ~nu (small_ensemble seed) with
       | Ok () -> true
       | Error _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Maxmin helpers                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_maxmin_cap_semantics () =
-  let cps = three_cp () in
-  Alcotest.(check bool) "finite cap when congested" true
-    (Float.is_finite (Maxmin.cap ~nu:1. cps));
-  Alcotest.(check bool) "infinite cap when unconstrained" true
-    (Float.equal (Maxmin.cap ~nu:50. cps) Float.infinity)
-
-let test_maxmin_rho_of_entrant () =
-  let cps = [| Cp.google 0 |] in
-  let entrant = Cp.skype 1 in
-  let rho = Maxmin.rho_of_entrant ~nu:1. cps ~entrant in
-  Alcotest.(check bool) "entrant gets positive throughput" true (rho > 0.);
-  (* The entrant's rho reflects the post-entry equilibrium. *)
-  let joint = Equilibrium.solve ~nu:1. [| Cp.google 0; Cp.skype 1 |] in
-  check_close 1e-9 "matches joint solve" joint.Equilibrium.rho.(1) rho
 
 (* ------------------------------------------------------------------ *)
 (* Surplus (Theorem 2)                                                *)
@@ -433,23 +365,14 @@ let () =
           quick "empty population" test_equilibrium_empty_population;
           quick "fig3 saturation" test_equilibrium_matches_paper_fig3;
           quick "fig3 demand ordering" test_equilibrium_demand_ordering;
-          quick "weights" test_equilibrium_weights;
-          quick "rejects bad weights" test_equilibrium_rejects_bad_weights;
           quick "scale invariance" test_solve_absolute_scale_invariance;
           prop prop_equilibrium_monotone_in_nu;
           prop prop_equilibrium_unique_from_any_ensemble ] );
       ( "alloc",
         [ quick "max-min axioms" test_maxmin_satisfies_axioms;
-          quick "alpha-fair axioms" test_alphafair_satisfies_axioms;
-          quick "priority axioms" test_priority_satisfies_axioms;
           quick "checker catches violations" test_axiom_checker_catches_violations;
           quick "checker catches non-monotone" test_axiom3_checker_catches_nonmonotone;
-          quick "priority order matters" test_priority_order_matters;
-          quick "priority rejects bad order" test_priority_rejects_bad_order;
           prop prop_maxmin_axiom2_random ] );
-      ( "maxmin",
-        [ quick "cap semantics" test_maxmin_cap_semantics;
-          quick "rho of entrant" test_maxmin_rho_of_entrant ] );
       ( "surplus",
         [ quick "formula" test_surplus_formula;
           quick "monotone (Theorem 2)" test_surplus_monotone_theorem2;

@@ -60,25 +60,6 @@ let test_brent_fewer_evals () =
     true
     (brent_evals < !count)
 
-let test_secant () =
-  let r = Roots.secant ~f:(fun x -> (x *. x) -. 9.) ~x0:1. ~x1:5. () in
-  Alcotest.(check bool) "converged" true r.Roots.converged;
-  check_close 1e-6 "root 3" 3. r.Roots.root
-
-let test_expand_bracket () =
-  let lo, hi = Roots.expand_bracket ~f:(fun x -> x -. 50.) ~lo:0. ~hi:1. () in
-  Alcotest.(check bool) "brackets the root" true (lo <= 50. && hi >= 50.)
-
-let test_expand_bracket_fails () =
-  Alcotest.(check bool) "raises No_bracket" true
-    (try
-       ignore
-         (Roots.expand_bracket ~max_expand:5
-            ~f:(fun x -> (x *. x) +. 1.)
-            ~lo:0. ~hi:1. ());
-       false
-     with Roots.No_bracket _ -> true)
-
 let test_monotone_level_interior () =
   let r =
     Roots.find_monotone_level ~f:sqrt ~level:2. ~lo:0. ~hi:100. ()
@@ -198,77 +179,8 @@ let prop_linspace_monotone =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Fixpoint                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_fixpoint_contraction () =
-  let r = Fixpoint.iterate ~f:(fun x -> (0.5 *. x) +. 1.) ~init:0. () in
-  Alcotest.(check bool) "converged" true r.Fixpoint.converged;
-  check_close 1e-8 "fixed point 2" 2. r.Fixpoint.point
-
-let test_fixpoint_cosine () =
-  let r = Fixpoint.iterate ~f:cos ~init:1. () in
-  check_close 1e-8 "Dottie number" 0.7390851332151607 r.Fixpoint.point
-
-let test_fixpoint_damping_stabilises () =
-  (* x -> 3.2 x (1 - x) has an oscillating 2-cycle undamped; heavy damping
-     converges to the interior fixed point 1 - 1/3.2. *)
-  let f x = 3.2 *. x *. (1. -. x) in
-  let undamped = Fixpoint.iterate ~max_iter:400 ~f ~init:0.3 () in
-  let damped = Fixpoint.iterate ~max_iter:400 ~damping:0.3 ~f ~init:0.3 () in
-  Alcotest.(check bool) "undamped cycles" false undamped.Fixpoint.converged;
-  Alcotest.(check bool) "damped converges" true damped.Fixpoint.converged;
-  check_close 1e-6 "fixed point" (1. -. (1. /. 3.2)) damped.Fixpoint.point
-
-let test_fixpoint_vec () =
-  let f v = [| (0.5 *. v.(0)) +. 1.; 0.9 *. v.(1) |] in
-  let r = Fixpoint.iterate_vec ~f ~init:[| 0.; 5. |] () in
-  Alcotest.(check bool) "converged" true r.Fixpoint.converged;
-  check_close 1e-7 "component 0" 2. r.Fixpoint.point.(0);
-  check_close 1e-7 "component 1" 0. r.Fixpoint.point.(1)
-
-let test_fixpoint_vec_dimension_guard () =
-  Alcotest.check_raises "dimension change rejected"
-    (Invalid_argument "Fixpoint.iterate_vec: map changed dimension")
-    (fun () ->
-      ignore (Fixpoint.iterate_vec ~f:(fun _ -> [| 0. |]) ~init:[| 0.; 0. |] ()))
-
-let test_iterate_until_stable () =
-  let f = function [] -> [] | _ :: tl -> tl in
-  let r =
-    Fixpoint.iterate_until_stable ~equal:( = ) ~f ~init:[ 1; 2; 3 ] ()
-  in
-  Alcotest.(check bool) "converged" true r.Fixpoint.converged;
-  Alcotest.(check (list int)) "empties the list" [] r.Fixpoint.point
-
-let test_detect_cycle () =
-  Alcotest.(check (option int))
-    "period 2" (Some 2)
-    (Fixpoint.detect_cycle ~equal:( = ) [ 1; 2; 1; 2 ]);
-  Alcotest.(check (option int))
-    "no cycle" None
-    (Fixpoint.detect_cycle ~equal:( = ) [ 1; 2; 3; 4 ]);
-  Alcotest.(check (option int)) "empty" None (Fixpoint.detect_cycle ~equal:( = ) [])
-
-(* ------------------------------------------------------------------ *)
 (* Optimize                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let test_golden_section () =
-  let r =
-    Optimize.golden_section_max ~f:(fun x -> -.((x -. 2.) ** 2.)) ~lo:0.
-      ~hi:5. ()
-  in
-  check_close 1e-6 "argmax" 2. r.Optimize.x;
-  check_close 1e-9 "max" 0. r.Optimize.fx
-
-let test_grid_max () =
-  let r = Optimize.grid_max ~f:(fun x -> -.Float.abs (x -. 0.5)) ~grid:(Grid.linspace 0. 1. 11) () in
-  check_float "argmax on grid" 0.5 r.Optimize.x
-
-let test_grid_max_first_tie () =
-  let r = Optimize.grid_max ~f:(fun _ -> 1.) ~grid:[| 1.; 2.; 3. |] () in
-  check_float "first maximiser wins ties" 1. r.Optimize.x
 
 let test_refine_grid_max () =
   let f x = -.((x -. 0.137) ** 2.) in
@@ -290,7 +202,7 @@ let test_refine_grid_max2 () =
   check_close 1e-3 "y" 0.7 r.Optimize.x2
 
 (* Every distinct grid point is evaluated once: a refinement costs
-   levels x points^d calls, an exhaustive grid its size. *)
+   levels x points^d calls. *)
 let test_grid_call_counts () =
   let calls = ref 0 in
   let f1 x = incr calls; -.((x -. 0.37) ** 2.) in
@@ -307,12 +219,7 @@ let test_grid_call_counts () =
       Optimize.refine_grid_max2 ~levels:3 ~points:13 ~f:f2 ~lo1:0. ~hi1:1.
         ~lo2:0. ~hi2:2. ());
   count "refine_grid_max levels 3 points 41" 123 (fun () ->
-      Optimize.refine_grid_max ~levels:3 ~points:41 ~f:f1 ~lo:0. ~hi:1. ());
-  count "grid_max" 11 (fun () ->
-      Optimize.grid_max ~f:f1 ~grid:(Grid.linspace 0. 1. 11) ());
-  count "grid_max2" 12 (fun () ->
-      Optimize.grid_max2 ~f:f2 ~grid1:(Grid.linspace 0. 1. 3)
-        ~grid2:(Grid.linspace 0. 1. 4) ())
+      Optimize.refine_grid_max ~levels:3 ~points:41 ~f:f1 ~lo:0. ~hi:1. ())
 
 (* On a plateau the first maximiser in scan order wins, and a later
    level's equal value does not displace it. *)
@@ -323,10 +230,7 @@ let test_refine_grid_max2_first_tie () =
       ~lo1:0. ~hi1:1. ~lo2:0. ~hi2:1. ()
   in
   check_float "first x on the plateau" 0.5 r.Optimize.x1;
-  check_float "first y" 0. r.Optimize.x2;
-  let r = Optimize.grid_max2 ~f:(fun _ _ -> 1.) ~grid1:[| 1.; 2. |] ~grid2:[| 3.; 4. |] () in
-  check_float "grid_max2 tie x" 1. r.Optimize.x1;
-  check_float "grid_max2 tie y" 3. r.Optimize.x2
+  check_float "first y" 0. r.Optimize.x2
 
 (* The floor contract: an objective that answers anything <= floor for
    the points that cannot beat it yields the exact objective's point and
@@ -366,31 +270,6 @@ let prop_floor_contract =
       Int64.equal (bits a.Optimize.x1) (bits b.Optimize.x1)
       && Int64.equal (bits a.Optimize.x2) (bits b.Optimize.x2)
       && Int64.equal (bits a.Optimize.f12) (bits b.Optimize.f12))
-
-let test_nelder_mead_rosenbrock () =
-  let f v =
-    let x = v.(0) and y = v.(1) in
-    (100. *. ((y -. (x *. x)) ** 2.)) +. ((1. -. x) ** 2.)
-  in
-  let x, value = Optimize.nelder_mead ~max_iter:5000 ~f ~init:[| -1.; 1. |] () in
-  Alcotest.(check bool)
-    (Printf.sprintf "near optimum (got %g at [%g, %g])" value x.(0) x.(1))
-    true (value < 1e-6)
-
-let test_maximize_nelder_mead () =
-  (* In 1-D a simplex can come to rest straddling the peak with equal end
-     values, so only ask for step-size accuracy on the argmax. *)
-  let f v = -.((v.(0) -. 3.) ** 2.) +. 5. in
-  let x, value = Optimize.maximize_nelder_mead ~f ~init:[| 0. |] () in
-  check_close 0.15 "argmax" 3. x.(0);
-  check_close 0.02 "max value" 5. value
-
-let prop_golden_section_quadratics =
-  QCheck.Test.make ~name:"golden section finds quadratic maxima" ~count:100
-    (QCheck.float_range 0.5 4.5) (fun peak ->
-      let f x = -.((x -. peak) ** 2.) in
-      let r = Optimize.golden_section_max ~f ~lo:0. ~hi:5. () in
-      Float.abs (r.Optimize.x -. peak) < 1e-5)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
@@ -462,50 +341,6 @@ let prop_quantile_bounds =
       v >= Stats.min xs -. 1e-9 && v <= Stats.max xs +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Interp                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_interp_eval () =
-  let t = Interp.of_points ~xs:[| 0.; 1.; 2. |] ~ys:[| 0.; 10.; 0. |] in
-  check_float "knot" 10. (Interp.eval t 1.);
-  check_float "midpoint" 5. (Interp.eval t 0.5);
-  check_float "clamps left" 0. (Interp.eval t (-3.));
-  check_float "clamps right" 0. (Interp.eval t 5.)
-
-let test_interp_rejects_unsorted () =
-  Alcotest.check_raises "unsorted"
-    (Invalid_argument "Interp.of_points: abscissae not strictly increasing")
-    (fun () -> ignore (Interp.of_points ~xs:[| 1.; 1. |] ~ys:[| 0.; 0. |]))
-
-let test_interp_derivative () =
-  let t = Interp.of_points ~xs:[| 0.; 2. |] ~ys:[| 0.; 6. |] in
-  check_float "slope" 3. (Interp.derivative t 1.)
-
-let test_inverse_monotone () =
-  let t = Interp.of_points ~xs:[| 0.; 1.; 2. |] ~ys:[| 0.; 4.; 8. |] in
-  (match Interp.inverse_monotone t 2. with
-  | Some x -> check_float "inverse" 0.5 x
-  | None -> Alcotest.fail "expected Some");
-  Alcotest.(check (option (float 1e-9)))
-    "out of range" None
-    (Interp.inverse_monotone t 9.)
-
-let test_inverse_monotone_decreasing () =
-  let t = Interp.of_points ~xs:[| 0.; 1. |] ~ys:[| 10.; 0. |] in
-  match Interp.inverse_monotone t 5. with
-  | Some x -> check_float "decreasing inverse" 0.5 x
-  | None -> Alcotest.fail "expected Some"
-
-let prop_interp_agrees_at_knots =
-  QCheck.Test.make ~name:"interpolant reproduces its knots" ~count:100
-    QCheck.(list_of_size (Gen.int_range 1 20) (float_range (-10.) 10.))
-    (fun ys_l ->
-      let ys = Array.of_list ys_l in
-      let xs = Array.init (Array.length ys) float_of_int in
-      let t = Interp.of_points ~xs ~ys in
-      Array.for_all2 (fun x y -> Float.abs (Interp.eval t x -. y) < 1e-12) xs ys)
-
-(* ------------------------------------------------------------------ *)
 (* Ode                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -563,41 +398,6 @@ let test_ode_dimension_guard () =
     (Invalid_argument "Ode: derivative changed dimension") (fun () ->
       ignore (Ode.rk4_step ~f:(fun ~t:_ _ -> [| 0. |]) ~t:0. ~dt:0.1 [| 0.; 0. |]))
 
-(* ------------------------------------------------------------------ *)
-(* Quadrature                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_trapezoid_linear_exact () =
-  check_close 1e-12 "linear exact" 0.5
-    (Quadrature.trapezoid ~f:(fun x -> x) ~lo:0. ~hi:1. ~n:4)
-
-let test_simpson_cubic_exact () =
-  check_close 1e-12 "cubic exact" 0.25
-    (Quadrature.simpson ~f:(fun x -> x ** 3.) ~lo:0. ~hi:1. ~n:4)
-
-let test_adaptive_simpson_sine () =
-  check_close 1e-8 "integral of sin on [0, pi]" 2.
-    (Quadrature.adaptive_simpson ~f:sin ~lo:0. ~hi:Float.pi ())
-
-let test_trapezoid_sampled () =
-  check_close 1e-12 "sampled triangle" 1.
-    (Quadrature.trapezoid_sampled ~xs:[| 0.; 1.; 2. |] ~ys:[| 0.; 1.; 0. |])
-
-let test_trapezoid_sampled_rejects_decreasing () =
-  Alcotest.check_raises "decreasing xs"
-    (Invalid_argument "Quadrature.trapezoid_sampled: decreasing abscissae")
-    (fun () ->
-      ignore
-        (Quadrature.trapezoid_sampled ~xs:[| 1.; 0. |] ~ys:[| 0.; 0. |]))
-
-let prop_simpson_beats_trapezoid =
-  QCheck.Test.make ~name:"simpson at least as accurate as trapezoid on exp"
-    ~count:50 (QCheck.float_range 0.5 3.) (fun hi ->
-      let exact = exp hi -. 1. in
-      let t = Quadrature.trapezoid ~f:exp ~lo:0. ~hi ~n:16 in
-      let s = Quadrature.simpson ~f:exp ~lo:0. ~hi ~n:16 in
-      Float.abs (s -. exact) <= Float.abs (t -. exact) +. 1e-12)
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -611,9 +411,6 @@ let () =
           quick "brent polynomial" test_brent_polynomial;
           quick "brent matches bisect" test_brent_matches_bisect;
           quick "brent fewer evals" test_brent_fewer_evals;
-          quick "secant" test_secant;
-          quick "expand bracket" test_expand_bracket;
-          quick "expand bracket fails" test_expand_bracket_fails;
           quick "monotone level interior" test_monotone_level_interior;
           quick "monotone level clamps" test_monotone_level_clamps;
           prop prop_monotone_level_solves;
@@ -628,27 +425,13 @@ let () =
           quick "midpoints" test_midpoints;
           quick "index of nearest" test_index_of_nearest;
           prop prop_linspace_monotone ] );
-      ( "fixpoint",
-        [ quick "contraction" test_fixpoint_contraction;
-          quick "cosine" test_fixpoint_cosine;
-          quick "damping stabilises" test_fixpoint_damping_stabilises;
-          quick "vector" test_fixpoint_vec;
-          quick "dimension guard" test_fixpoint_vec_dimension_guard;
-          quick "until stable" test_iterate_until_stable;
-          quick "detect cycle" test_detect_cycle ] );
       ( "optimize",
-        [ quick "golden section" test_golden_section;
-          quick "grid max" test_grid_max;
-          quick "grid max ties" test_grid_max_first_tie;
-          quick "refine grid" test_refine_grid_max;
+        [ quick "refine grid" test_refine_grid_max;
           quick "refine grid discontinuous" test_refine_grid_max_discontinuous;
           quick "refine grid 2d" test_refine_grid_max2;
           quick "grid call counts" test_grid_call_counts;
           quick "refine grid 2d ties" test_refine_grid_max2_first_tie;
-          prop prop_floor_contract;
-          quick "nelder-mead rosenbrock" test_nelder_mead_rosenbrock;
-          quick "maximize wrapper" test_maximize_nelder_mead;
-          prop prop_golden_section_quadratics ] );
+          prop prop_floor_contract ] );
       ( "stats",
         [ quick "mean variance" test_mean_variance;
           quick "variance degenerate" test_variance_degenerate;
@@ -660,24 +443,10 @@ let () =
           quick "weighted mean" test_weighted_mean;
           quick "max downward gap" test_max_downward_gap;
           prop prop_quantile_bounds ] );
-      ( "interp",
-        [ quick "eval" test_interp_eval;
-          quick "rejects unsorted" test_interp_rejects_unsorted;
-          quick "derivative" test_interp_derivative;
-          quick "inverse monotone" test_inverse_monotone;
-          quick "inverse decreasing" test_inverse_monotone_decreasing;
-          prop prop_interp_agrees_at_knots ] );
       ( "ode",
         [ quick "exponential decay" test_ode_exponential_decay;
           quick "harmonic oscillator" test_ode_harmonic_oscillator;
           quick "trajectory shape" test_ode_trajectory_shape;
           quick "post applied" test_ode_post_applied;
           quick "integrate until" test_ode_until;
-          quick "dimension guard" test_ode_dimension_guard ] );
-      ( "quadrature",
-        [ quick "trapezoid linear" test_trapezoid_linear_exact;
-          quick "simpson cubic" test_simpson_cubic_exact;
-          quick "adaptive sine" test_adaptive_simpson_sine;
-          quick "sampled" test_trapezoid_sampled;
-          quick "sampled rejects" test_trapezoid_sampled_rejects_decreasing;
-          prop prop_simpson_beats_trapezoid ] ) ]
+          quick "dimension guard" test_ode_dimension_guard ] ) ]

@@ -1,9 +1,10 @@
 (* Differential tests for the optimized water-filling kernel (DESIGN.md
    §9): the sorted-prefix Equilibrium solver and the caching/warm-started
    CP-game engine must be bit-identical to the retained reference
-   implementations on every input — random ensembles, weighted systems,
-   degenerate classes, bracket hints good and bad — and every figure in
-   the registry must be reproduced identically for any jobs count. *)
+   implementations on every input — random ensembles, levels at a
+   threshold, degenerate classes, bracket hints good and bad — and every
+   figure in the registry must be reproduced identically for any jobs
+   count. *)
 
 open Po_model
 open Po_core
@@ -310,28 +311,13 @@ let test_one_sided_hints_every_threshold () =
           0.9 *. unconstrained ])
     kinds
 
-(* Weighted solves: a paper ensemble with random weights, and every
-   demand family with theta_hat and the weights on coarse grids so that
-   weighted thresholds tie.  The solution must match the reference,
-   whose record formula [min theta_hat (w cap)] is its own, bit for
-   bit. *)
-let test_eq_differential_weighted () =
-  let check name cps ~weights nus =
-    List.iter
-      (fun nu ->
-        let name = Printf.sprintf "%s nu=%g" name nu in
-        check_solution name
-          (Equilibrium.solve ~weights ~nu cps)
-          (Equilibrium.solve_reference ~weights ~nu cps))
-      nus
-  in
-  (* A level exactly at a weighted threshold theta_hat /. w where
-     w *. (theta_hat /. w) rounds below theta_hat (theta_hat 1, w 49):
-     the record formula leaves that CP just below saturation, so a
-     materialiser testing [theta_hat /. w <= cap] instead of
-     [theta_hat <= w *. cap] would move its bits.  nu is the aggregate
-     at that level, summed as the solver sums it (saturated prefix, then
-     the tail), so the segment search lands on the grid point itself. *)
+(* A level exactly at a saturation threshold: CP [a] saturates at
+   theta_hat 1, and nu is the aggregate at cap = 1, summed as the solver
+   sums it (saturated prefix, then the tail), so the segment search
+   lands on the grid point itself.  [a] must then come out saturated,
+   and the solution must match the reference's record formula
+   [min theta_hat cap] bit for bit. *)
+let test_eq_level_at_threshold () =
   List.iter
     (fun (kind, demand) ->
       let a =
@@ -339,50 +325,23 @@ let test_eq_differential_weighted () =
           ~demand:(Demand.exponential ~beta:1.) ()
       in
       let b = Cp.make ~id:1 ~alpha:0.5 ~theta_hat:2. ~demand () in
-      let weights = [| 49.; 1. |] in
-      let cap = 1. /. 49. in
-      Alcotest.(check bool) "threshold rounds" true (49. *. cap < 1.);
+      let cap = a.Cp.theta_hat in
       let nu =
-        (0. +. Cp.lambda_per_capita a ~theta:1.)
+        (0. +. Cp.lambda_per_capita a ~theta:cap)
         +. Cp.lambda_per_capita b ~theta:cap
       in
-      let sol = Equilibrium.solve ~weights ~nu [| a; b |] in
+      let sol = Equilibrium.solve ~nu [| a; b |] in
       check_bits (kind ^ " level at the threshold") cap sol.Equilibrium.cap;
+      check_bits (kind ^ " saturated theta") a.Cp.theta_hat
+        sol.Equilibrium.theta.(0);
+      check_bits (kind ^ " saturated rho")
+        (Cp.rho a ~theta:a.Cp.theta_hat)
+        sol.Equilibrium.rho.(0);
       check_solution
-        ("level at a weighted threshold " ^ kind)
+        ("level at a threshold " ^ kind)
         sol
-        (Equilibrium.solve_reference ~weights ~nu [| a; b |]))
-    [ ("exponential", Demand.exponential ~beta:2.); ("mixed", Demand.linear) ];
-  let cps = ensemble ~n:40 5 in
-  let rng = Po_prng.Splitmix.of_int 23 in
-  let weights =
-    Array.init (Array.length cps) (fun _ ->
-        0.25 +. Po_prng.Splitmix.float rng)
-  in
-  check "weighted ensemble" cps ~weights (nu_grid cps);
-  List.iter
-    (fun (kind, families) ->
-      List.iter
-        (fun seed ->
-          let cps = population ~families ~n:40 seed in
-          let rng = Po_prng.Splitmix.of_int (seed + 500) in
-          let weights =
-            Array.init (Array.length cps) (fun _ ->
-                0.25 *. float_of_int (1 + Po_prng.Splitmix.int rng 8))
-          in
-          let unconstrained =
-            Array.fold_left
-              (fun acc cp -> acc +. Cp.lambda_hat_per_capita cp)
-              0. cps
-          in
-          check
-            (Printf.sprintf "weighted %s seed=%d" kind seed)
-            cps ~weights
-            [ 0.; 0.1 *. unconstrained; 0.5 *. unconstrained;
-              0.95 *. unconstrained; unconstrained;
-              1.5 *. unconstrained +. 1. ])
-        [ 3; 8 ])
-    kinds
+        (Equilibrium.solve_reference ~nu [| a; b |]))
+    [ ("exponential", Demand.exponential ~beta:2.); ("mixed", Demand.linear) ]
 
 let test_market_rejects_bad_members () =
   let market = Equilibrium.market (population ~families:[| Linear |] ~n:5 1) in
@@ -633,7 +592,7 @@ let () =
   Alcotest.run "po_perf_kernel"
     [ ( "equilibrium",
         [ quick "random ensembles bit-identical" test_eq_differential_random;
-          quick "weighted systems bit-identical" test_eq_differential_weighted;
+          quick "level at a saturation threshold" test_eq_level_at_threshold;
           quick "market reuse" test_eq_market_reuse;
           quick "bracket hints are transparent"
             test_eq_bracket_hints_transparent;
